@@ -12,7 +12,9 @@ Each pipeline entry records wall-clock seconds plus the estimate-cache
 counters observed across the run (table3 re-runs the fig9/fig10 kernel ×
 graph combinations, so its cache hit count shows the memo layer doing
 its job).  Results are deterministic; the timings are the only
-machine-dependent values in the file.
+machine-dependent values in the file, and the ``meta`` block records
+what they were measured on: Python, NumPy and SciPy versions, CPU model
+and CPU count.
 
 A ``frontier`` section (skippable with ``--no-frontier``) times the
 full-field SpMM sweep against the model-predicted frontier (the
@@ -41,6 +43,33 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 DEFAULT_PIPELINES = ("fig9", "fig12", "table3")
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def host_meta(**extra) -> dict:
+    """Provenance of the timings: interpreter, NumPy/SciPy, CPU."""
+    import numpy
+    import scipy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cpu_model": _cpu_model(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        **extra,
+    }
 
 
 def run_pipelines(
@@ -88,15 +117,12 @@ def run_pipelines(
         "entries": cs.entries,
         "stored_bytes": cs.stored_bytes,
     }
-    report["meta"] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repro_jobs": os.environ.get("REPRO_JOBS", "1"),
-        "max_edges": max_edges,
-        "subgraphs": subgraphs,
-        "fig12_nodes": fig12_nodes,
-    }
+    report["meta"] = host_meta(
+        repro_jobs=os.environ.get("REPRO_JOBS", "1"),
+        max_edges=max_edges,
+        subgraphs=subgraphs,
+        fig12_nodes=fig12_nodes,
+    )
     # Unified observability snapshot (plan-check totals, pool fan-out
     # accounting, ...).  Informational in `repro.obs diff` — only the
     # timing keys above are regression-gated.
@@ -109,9 +135,9 @@ def run_frontier_bench(*, max_edges: int | None = None) -> dict:
 
     Both arms start from a cold estimate cache so the predicted arm's
     advantage is genuinely fewer (graph, kernel) configs swept, not memo
-    hits left behind by the full arm.  Key names stay outside the
-    ``repro.obs diff`` timing-gated set (``seconds``/``*_seconds``/...):
-    the speedup is workload structure, not a gated regression surface.
+    hits left behind by the full arm.  ``repro.obs diff`` gates each
+    arm's ``elapsed_s``; ``speedup`` and ``config_reduction`` are
+    workload structure and stay informational.
     """
     from repro.bench import run_frontier
     from repro.perf import get_estimate_cache
@@ -170,10 +196,9 @@ def _time_dispatch(engine, requests, batches: int) -> dict:
     publishes store segments, and warms worker-side estimate caches, so
     the timed window measures steady-state dispatch overhead — the
     serialization + queue tax the shared store exists to remove — rather
-    than one-time setup.  Key names are deliberately outside the
-    ``repro.obs diff`` timing-gated set (``seconds``/``*_seconds``/...):
-    throughput here is machine- and load-dependent context, not a gated
-    regression surface.
+    than one-time setup.  ``repro.obs diff`` gates ``elapsed_s`` and
+    ``per_request_us``; ``requests_per_s`` is the same number inverted
+    and stays informational.
     """
     engine.estimate_batch(requests)  # warmup (untimed)
     t0 = time.perf_counter()
@@ -289,12 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.dispatch_only:
         from repro.obs import snapshot
 
-        report = {"meta": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "max_edges": args.max_edges,
-        }}
+        report = {"meta": host_meta(max_edges=args.max_edges)}
     else:
         report = run_pipelines(
             pipelines,

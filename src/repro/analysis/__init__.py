@@ -23,7 +23,11 @@ from __future__ import annotations
 from ..formats import HybridMatrix
 from ..gpusim import DeviceSpec, RTX_3090, TESLA_A30, TESLA_V100
 from .diagnostics import ERROR, INFO, SEVERITIES, WARNING, Diagnostic, Report
-from .fixtures import ADVERSARIAL_PLANS, procsafety_fixture_files
+from .fixtures import (
+    ADVERSARIAL_PLANS,
+    lint_fixture_files,
+    procsafety_fixture_files,
+)
 from .lint import default_lint_root, iter_python_files, lint_paths, lint_source
 from .procsafety import procsafety_paths, procsafety_source
 from .schedule import (
@@ -52,6 +56,7 @@ __all__ = [
     "check_shipped_kernels",
     "default_check_matrix",
     "iter_python_files",
+    "lint_fixture_files",
     "lint_paths",
     "lint_source",
     "plan_errors",

@@ -1,6 +1,6 @@
 """Adversarial fixtures — known-bad inputs every analysis layer must flag.
 
-Two corpora live here:
+Three corpora live here:
 
 * **plans** — hand-built :class:`~repro.analysis.schedule.KernelPlan`
   objects, each exhibiting exactly one scheduling bug
@@ -8,7 +8,10 @@ Two corpora live here:
 * **source files** — modules under ``procsafety/`` each statically
   violating one concurrency/lifecycle rule family, exercised via
   ``python -m repro.analysis --procsafety <file>``
-  (:func:`procsafety_fixture_files`).
+  (:func:`procsafety_fixture_files`);
+* **lint source files** — modules under ``lint/`` each violating one
+  determinism-linter rule, exercised via ``python -m repro.analysis
+  --no-plans --no-procsafety <file>`` (:func:`lint_fixture_files`).
 
 Both serve the same two purposes: regression tests assert the analyzers
 raise the *right* rule id for each, and CI requires a nonzero exit on
@@ -104,7 +107,7 @@ ADVERSARIAL_PLANS = {
 
 
 # ----------------------------------------------------------------------
-# Procsafety source-code fixtures (negative controls for layer 3)
+# Source-code fixtures (negative controls for layers 2 and 3)
 # ----------------------------------------------------------------------
 
 def procsafety_fixture_dir() -> str:
@@ -115,6 +118,14 @@ def procsafety_fixture_dir() -> str:
                         "procsafety")
 
 
+def _py_files(d: str) -> list[str]:
+    import os
+
+    return sorted(
+        os.path.join(d, f) for f in os.listdir(d) if f.endswith(".py")
+    )
+
+
 def procsafety_fixture_files() -> list[str]:
     """Sorted paths of the procsafety bad-code corpus.
 
@@ -123,9 +134,17 @@ def procsafety_fixture_files() -> list[str]:
     CI negative-control loop and ``tests/test_procsafety.py`` both
     iterate this list.
     """
+    return _py_files(procsafety_fixture_dir())
+
+
+def lint_fixture_files() -> list[str]:
+    """Sorted paths of the determinism-linter bad-code corpus.
+
+    Each file violates exactly one lint rule and MUST make ``python -m
+    repro.analysis --no-plans --no-procsafety <file>`` exit nonzero.
+    """
     import os
 
-    d = procsafety_fixture_dir()
-    return sorted(
-        os.path.join(d, f) for f in os.listdir(d) if f.endswith(".py")
+    return _py_files(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), "lint")
     )

@@ -22,6 +22,10 @@ This linter enforces the repo-specific rules that protect that promise:
   ``dot``) forced to ``dtype=np.float32`` accumulate error linearly in
   the reduction length; cost-model reductions must widen to float64
   (NumPy's default) and narrow at the edges instead.
+* ``lint/bare-unique`` — no ``np.unique`` in the hot packages
+  (:data:`UNIQUE_HOT_PACKAGES`).  On integer input NumPy 2.x's value-only
+  ``np.unique`` takes a hash path tens of times slower than a sort; use
+  :func:`repro.sortops.sorted_unique`.  Cold sites waive with a reason.
 
 A line can waive one rule with a trailing justification comment::
 
@@ -68,6 +72,20 @@ _REDUCTIONS = {"sum", "mean", "cumsum", "nansum", "nanmean", "dot", "trace"}
 #: Iteration sinks that materialize set order.
 _ORDER_SINKS = {"list", "tuple", "enumerate", "iter", "reversed"}
 
+#: ``repro`` subpackages where ``lint/bare-unique`` applies.
+UNIQUE_HOT_PACKAGES = frozenset(
+    {"graphs", "gpusim", "analysis", "kernels", "formats", "reorder", "engine"}
+)
+
+
+def _repro_package(path: str) -> str | None:
+    """``.../repro/graphs/x.py`` -> ``"graphs"``; None outside a subpackage."""
+    parts = os.path.normpath(path).split(os.sep)
+    if "repro" not in parts:
+        return None
+    i = len(parts) - 1 - parts[::-1].index("repro")
+    return parts[i + 1] if i + 2 < len(parts) else None
+
 
 def _attr_chain(node: ast.AST) -> list[str]:
     """``np.random.default_rng`` -> ["np", "random", "default_rng"]."""
@@ -112,6 +130,7 @@ class _Visitor(ast.NodeVisitor):
         self.path = path
         self.waivers = waivers
         self.diags: list[Diagnostic] = []
+        self.unique_hot = _repro_package(path) in UNIQUE_HOT_PACKAGES
 
     def _report(self, node: ast.AST, rule: str, message: str, hint: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -148,6 +167,17 @@ class _Visitor(ast.NodeVisitor):
                     f"np.random.{fn}() constructed without a seed",
                     "pass an explicit integer seed",
                 )
+
+        # -- bare np.unique ----------------------------------------------
+        if self.unique_hot and chain in (["np", "unique"], ["numpy", "unique"]):
+            self._report(
+                node,
+                "lint/bare-unique",
+                f"{'.'.join(chain)}(...) in a hot package (NumPy's hash "
+                "path is tens of times slower than a sort on int keys)",
+                "use repro.sortops.sorted_unique; a cold site waives with "
+                "`# lint: allow(bare-unique) <why>`",
+            )
 
         # -- wallclock ---------------------------------------------------
         if len(chain) >= 2:

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..formats import HybridMatrix
 from ..gpusim import DeviceSpec, LaunchConfig
+from ..sortops import sorted_unique
 from .diagnostics import ERROR, INFO, WARNING, Diagnostic
 
 # Merge modes: how cross-warp writes to one output location are resolved.
@@ -203,17 +204,20 @@ def _check_races(plan: KernelPlan) -> list[Diagnostic]:
     slice_id = np.repeat(
         np.arange(lengths.size, dtype=np.int64), np.maximum(lengths, 0)
     )
-    # Distinct (row, slice) pairs; a row appearing in >= 2 pairs is
-    # written by multiple warps.
-    key = row.astype(np.int64) * np.int64(lengths.size) + slice_id
-    pair_rows = np.unique(key) // lengths.size
-    shared, counts = np.unique(pair_rows, return_counts=True)
+    # Distinct (row, slice) pairs, sorted by row then slice; a row
+    # appearing in >= 2 pairs is written by multiple warps.
+    pairs = sorted_unique(
+        row.astype(np.int64) * np.int64(lengths.size) + slice_id
+    )
+    pair_rows, pair_slices = np.divmod(pairs, lengths.size)
+    shared, counts = sorted_unique(pair_rows, return_counts=True)
     shared = shared[counts >= 2]
     if shared.size == 0:
         return []
     diags = []
     for r in shared[:_MAX_NAMED]:
-        slices = np.unique(slice_id[row == r])
+        lo, hi = np.searchsorted(pair_rows, [r, r + 1])
+        slices = pair_slices[lo:hi]
         names = ", ".join(str(s) for s in slices[:_MAX_NAMED])
         claim = (
             "claimed row-private slices"

@@ -33,7 +33,13 @@ _WAIVER_RE = re.compile(r"lint:\s*allow\(([a-z0-9-]*)\)\s*(.*)")
 
 #: Short rule ids of the determinism linter (:mod:`repro.analysis.lint`).
 LINT_RULES = frozenset(
-    {"unseeded-rng", "set-iteration", "wallclock", "float32-accum"}
+    {
+        "unseeded-rng",
+        "set-iteration",
+        "wallclock",
+        "float32-accum",
+        "bare-unique",
+    }
 )
 
 #: Short rule ids of the concurrency/resource analyzer

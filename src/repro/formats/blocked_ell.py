@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sortops import sorted_unique
 from .base import SparseFormatError
 from .hybrid import HybridMatrix
 
@@ -69,7 +70,7 @@ def blocked_ell_stats(S: HybridMatrix, block_size: int = 16) -> BlockedEllStats:
         )
     brow = S.row.astype(np.int64) // block_size
     bcol = S.col.astype(np.int64) // block_size
-    uniq = np.unique(brow * nbc + bcol)
+    uniq = sorted_unique(brow * nbc + bcol)
     u_brow = uniq // nbc
     blocks_per_row = np.bincount(u_brow, minlength=nbr)
     return BlockedEllStats(
@@ -164,7 +165,7 @@ class BlockedEllMatrix:
         brow = (S.row.astype(np.int64) // block_size).astype(np.int64)
         bcol = (S.col.astype(np.int64) // block_size).astype(np.int64)
         key = brow * nbc + bcol
-        uniq, inverse = np.unique(key, return_inverse=True)
+        uniq, inverse = np.unique(key, return_inverse=True)  # lint: allow(bare-unique) return_inverse takes NumPy's sort path, not the hash path
         u_brow = (uniq // nbc).astype(np.int64)
         u_bcol = (uniq % nbc).astype(np.int64)
         blocks_per_row = np.bincount(u_brow, minlength=nbr)

@@ -24,26 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sortops import previous_positions, sorted_unique
 
-def previous_positions(stream: np.ndarray) -> np.ndarray:
-    """Position of the previous access to the same item, or ``-1``.
-
-    Vectorized: O(n log n) via a stable sort on item id.  This array is
-    the shared substrate of both :func:`reuse_times` (``i - prev[i]``)
-    and :func:`sampled_footprint` (an access is the first of its item
-    within window ``[s, s+w)`` iff ``prev[i] < s``).
-    """
-    stream = np.asarray(stream)
-    n = stream.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(stream, kind="stable")
-    sorted_items = stream[order]
-    pos = order.astype(np.int64)
-    out = np.full(n, -1, dtype=np.int64)
-    same_as_prev = sorted_items[1:] == sorted_items[:-1]
-    out[pos[1:]] = np.where(same_as_prev, pos[:-1], -1)
-    return out
+# previous_positions is the shared substrate of reuse_times (i - prev[i])
+# and sampled_footprint (an access is the first of its item within window
+# [s, s+w) iff prev[i] < s).
 
 
 def reuse_times(stream: np.ndarray) -> np.ndarray:
@@ -76,10 +61,9 @@ def sampled_footprint(
 
     The count for a window ``[s, s+w)`` is the number of accesses whose
     previous same-item access falls before ``s`` — a single vectorized
-    comparison against the :func:`previous_positions` array, instead of
-    hashing every window with ``np.unique`` (which dominated whole
-    experiment pipelines).  Callers that already hold the ``prev`` array
-    can pass it to skip the one O(n log n) sort.
+    comparison against the :func:`previous_positions` array, so no
+    window is ever deduplicated on its own.  Callers that already hold
+    the ``prev`` array can pass it to skip the one O(n log n) sort.
     """
     stream = np.asarray(stream)
     n = stream.size
@@ -97,7 +81,7 @@ def sampled_footprint(
             starts = np.array([0])
         else:
             k = min(samples_per_size, max_start + 1)
-            starts = np.unique(
+            starts = sorted_unique(
                 (rng.random(k) * (max_start + 1)).astype(np.int64)
             )
         counts = [
@@ -177,7 +161,7 @@ class FootprintCacheModel:
             # Everything fits: every non-cold access hits.
             hits = int(np.count_nonzero(t >= 0))
             return CacheStats(accesses=n, hits=hits)
-        sizes = np.unique(
+        sizes = sorted_unique(
             np.geomspace(1, n, num=self.NUM_WINDOW_SIZES).astype(np.int64)
         )
         fp = sampled_footprint(

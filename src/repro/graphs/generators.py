@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..formats import COOMatrix, HybridMatrix
+from ..sortops import sorted_unique
 
 
 def _zipf_weights(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -49,7 +50,7 @@ def _sample_categorical(
 def _dedupe(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Remove duplicate edges (keeping one copy)."""
     key = src.astype(np.int64) * n + dst.astype(np.int64)
-    key = np.unique(key)
+    key = sorted_unique(key)
     return (key // n).astype(np.int64), (key % n).astype(np.int64)
 
 
@@ -80,7 +81,7 @@ def _collect_unique_edges(
         src, dst = draw(m)
         new = src.astype(np.int64) * num_nodes + dst.astype(np.int64)
         before = keys.size
-        keys = np.unique(np.concatenate([keys, new]))
+        keys = sorted_unique(np.concatenate([keys, new]))
         gained = keys.size - before
         acceptance = max(gained / m, 1e-3)
         if gained == 0:

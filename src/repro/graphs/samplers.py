@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..formats import COOMatrix, HybridMatrix
+from ..sortops import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,10 @@ class Subgraph:
 def induced_subgraph(parent: HybridMatrix, nodes: np.ndarray) -> HybridMatrix:
     """Induced subgraph on ``nodes`` (parent ids, deduplicated + sorted)."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    # Every sampler hands us an np.unique output already; only re-sort
+    # Every sampler hands us a sorted_unique output already; only re-sort
     # when the strictly-increasing invariant doesn't hold.
     if nodes.size > 1 and not bool(np.all(nodes[1:] > nodes[:-1])):
-        nodes = np.unique(nodes)
+        nodes = sorted_unique(nodes)
     n = parent.shape[0]
     relabel = np.full(n, -1, dtype=np.int64)
     relabel[nodes] = np.arange(nodes.size, dtype=np.int64)
@@ -65,7 +66,7 @@ def saint_node_sampler(
     p = deg / deg.sum()
     budget = min(budget, parent.shape[0])
     nodes = rng.choice(parent.shape[0], size=budget, replace=False, p=p)
-    nodes = np.unique(nodes)
+    nodes = sorted_unique(nodes)
     return Subgraph(
         matrix=induced_subgraph(parent, nodes),
         node_map=nodes,
@@ -82,7 +83,7 @@ def saint_edge_sampler(
     nnz = parent.nnz
     budget_edges = min(budget_edges, nnz)
     idx = rng.choice(nnz, size=budget_edges, replace=False)
-    nodes = np.unique(
+    nodes = sorted_unique(
         np.concatenate([parent.row[idx], parent.col[idx]]).astype(np.int64)
     )
     return Subgraph(
@@ -120,7 +121,7 @@ def saint_walk_sampler(
             nxt[has] = parent.col[indptr[movers] + offs]
         current = nxt
         visited[step + 1] = current
-    nodes = np.unique(visited.ravel())
+    nodes = sorted_unique(visited)
     return Subgraph(
         matrix=induced_subgraph(parent, nodes),
         node_map=nodes,
@@ -155,8 +156,8 @@ def sage_neighbor_sampler(
         offs = (rng.random(total) * deg[rep_idx]).astype(np.int64)
         neigh = parent.col[indptr[frontier[rep_idx]] + offs].astype(np.int64)
         layers.append(neigh)
-        frontier = np.unique(neigh)
-    nodes = np.unique(np.concatenate(layers))
+        frontier = sorted_unique(neigh)
+    nodes = sorted_unique(np.concatenate(layers))
     return Subgraph(
         matrix=induced_subgraph(parent, nodes),
         node_map=nodes,

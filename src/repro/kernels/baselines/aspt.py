@@ -21,6 +21,7 @@ from ...gpusim import (
     simulate_launch,
 )
 from ...formats import HybridMatrix
+from ...sortops import sorted_unique
 from ..api import SpMMKernel, register_spmm
 from ..common import estimate_hit_rate, split_by_hit_rate
 from ..preproc import DEFAULT_HOST, HostCostParams, aspt_preprocess_s
@@ -39,7 +40,7 @@ def dense_fraction(
         return 0.0
     panel = (S.row.astype(np.int64) // panel_rows)
     key = panel * np.int64(S.shape[1]) + S.col.astype(np.int64)
-    _, counts = np.unique(key, return_counts=True)
+    _, counts = sorted_unique(key, return_counts=True)
     dense_nnz = int(counts[counts >= threshold].sum())
     return dense_nnz / S.nnz
 

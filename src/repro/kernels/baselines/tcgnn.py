@@ -24,6 +24,7 @@ from ...gpusim import (
     simulate_launch,
 )
 from ...formats import HybridMatrix
+from ...sortops import sorted_unique
 from ..api import SpMMKernel, register_spmm
 from ..common import estimate_hit_rate, split_by_hit_rate
 
@@ -44,7 +45,7 @@ def nonempty_tiles(S: HybridMatrix, tile: int = TILE_M) -> int:
     key = (S.row.astype(np.int64) // tile) * (
         (S.shape[1] + tile - 1) // tile
     ) + S.col.astype(np.int64) // tile
-    return int(np.unique(key).size)
+    return int(sorted_unique(key).size)
 
 
 def condensed_fragments(
@@ -63,7 +64,7 @@ def condensed_fragments(
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     panel = S.row.astype(np.int64) // tile_m
     key = panel * np.int64(S.shape[1]) + S.col.astype(np.int64)
-    uniq = np.unique(key)
+    uniq = sorted_unique(key)
     panel_of = uniq // np.int64(S.shape[1])
     col_stream = (uniq % np.int64(S.shape[1])).astype(np.int64)
     cols_per_panel = np.bincount(

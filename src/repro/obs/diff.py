@@ -13,7 +13,8 @@ Rules:
 
 * a leaf is *gated* when its final key names a timing
   (``seconds``, ``*_seconds``, ``time_s``, ``total_s``, ``time_us``,
-  ``wall_s``);
+  ``wall_s``, ``elapsed_s``, ``per_request_us``) — the last two cover
+  the harness's ``dispatch.*`` and ``frontier.*`` sections;
 * a gated leaf regresses when ``new > old * (1 + threshold)`` (an old
   value of 0 is never a regression baseline — reported as info only);
 * non-timing numeric leaves (cache hits, counters) are reported as
@@ -29,7 +30,15 @@ import json
 from dataclasses import dataclass
 
 #: Final key names (or suffixes) that mark a leaf as wall-clock timing.
-_TIMING_KEYS = ("seconds", "time_s", "total_s", "time_us", "wall_s")
+_TIMING_KEYS = (
+    "seconds",
+    "time_s",
+    "total_s",
+    "time_us",
+    "wall_s",
+    "elapsed_s",
+    "per_request_us",
+)
 _TIMING_SUFFIX = "_seconds"
 
 

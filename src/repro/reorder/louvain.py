@@ -196,7 +196,7 @@ def louvain_communities(
             moved_any = True
 
         # Compact community labels.
-        uniq, comm = np.unique(comm, return_inverse=True)
+        uniq, comm = np.unique(comm, return_inverse=True)  # lint: allow(bare-unique) return_inverse takes NumPy's sort path, not the hash path
         if not moved_any or uniq.size == n:
             mapping = comm[mapping]
             break
@@ -220,7 +220,7 @@ def louvain_communities(
         )
 
     # Compact the final labels over original nodes.
-    _, compact = np.unique(mapping, return_inverse=True)
+    _, compact = np.unique(mapping, return_inverse=True)  # lint: allow(bare-unique) return_inverse takes NumPy's sort path, not the hash path
     return compact.astype(np.int64)
 
 

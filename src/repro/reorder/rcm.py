@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..formats import HybridMatrix
+from ..sortops import sorted_unique
 from .base import Reorderer
 
 
@@ -51,7 +52,7 @@ class RCMReorderer(Reorderer):
                 neigh = dst[indptr[u] : indptr[u + 1]]
                 neigh = neigh[~visited[neigh]]
                 if neigh.size:
-                    neigh = np.unique(neigh)
+                    neigh = sorted_unique(neigh)
                     neigh = neigh[~visited[neigh]]
                     neigh = neigh[np.argsort(degrees[neigh], kind="stable")]
                     visited[neigh] = True

@@ -290,6 +290,12 @@ def _serve_mode(args) -> int:
     front = SocketFrontEnd(
         server, args.host, args.port, queue_high=args.queue_high
     )
+    # Handlers go in before warmup and before the readiness line: a
+    # SIGTERM sent the moment a client sees that line must still run the
+    # finally-block (front/server/executor stop, store cleanup at exit).
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
     try:
         if warm_spec is not None:
             n_warm = server.warm(generate_requests(warm_spec))
@@ -314,9 +320,6 @@ def _serve_mode(args) -> int:
                 f"{len(router.table())} placements after warmup]",
                 file=sys.stderr,
             )
-        stop = threading.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, lambda *_: stop.set())
         stop.wait()
         print("[serve: shutting down]", file=sys.stderr)
     finally:

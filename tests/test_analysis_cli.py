@@ -12,7 +12,11 @@ import sys
 
 import pytest
 
-from repro.analysis import ADVERSARIAL_PLANS, procsafety_fixture_files
+from repro.analysis import (
+    ADVERSARIAL_PLANS,
+    lint_fixture_files,
+    procsafety_fixture_files,
+)
 
 pytestmark = pytest.mark.analysis
 
@@ -67,6 +71,14 @@ def test_lint_only_on_one_file(tmp_path):
     proc = _run("--no-plans", str(bad))
     assert proc.returncode == 1
     assert "lint/unseeded-rng" in proc.stdout
+
+
+def test_lint_fixtures_exit_nonzero():
+    # The linter's negative control: a clean-tree walk skips the
+    # fixture corpus, so each file is analyzed explicitly.
+    for path in lint_fixture_files():
+        proc = _run("--no-plans", "--no-procsafety", path)
+        assert proc.returncode == 1, f"lint fixture {path} passed"
 
 
 def test_text_output_ends_with_summary_line():

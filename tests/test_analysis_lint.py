@@ -6,9 +6,16 @@ pins the repo invariant the linter gates in CI: ``src/repro`` itself
 lints clean (wall-clock surfaces carry justified waivers).
 """
 
+import os
+
 import pytest
 
-from repro.analysis import default_lint_root, lint_paths, lint_source
+from repro.analysis import (
+    default_lint_root,
+    lint_fixture_files,
+    lint_paths,
+    lint_source,
+)
 
 pytestmark = pytest.mark.analysis
 
@@ -138,6 +145,58 @@ def test_float64_and_default_accumulators_allowed():
     assert _rules(
         "import numpy as np\ny = x.astype(np.float32)\ns = float(x.sum())\n"
     ) == []
+
+
+# -- lint/bare-unique ----------------------------------------------------
+
+_HOT = os.path.join("src", "repro", "graphs", "generators.py")
+_BARE = "import numpy as np\nu = np.unique(k)\n"
+
+
+def test_bare_unique_flagged_in_hot_packages():
+    for pkg in ("graphs", "gpusim", "analysis", "kernels", "formats",
+                "reorder", "engine"):
+        path = os.path.join("src", "repro", pkg, "mod.py")
+        rules = [d.rule for d in lint_source(_BARE, path)]
+        assert rules == ["lint/bare-unique"], pkg
+    diags = lint_source("import numpy\nu, c = numpy.unique(k, True)\n", _HOT)
+    assert [d.rule for d in diags] == ["lint/bare-unique"]
+
+
+def test_bare_unique_allowed_outside_hot_packages():
+    for path in (
+        os.path.join("src", "repro", "serve", "server.py"),
+        os.path.join("src", "repro", "sortops.py"),
+        os.path.join("tests", "test_x.py"),
+        "<string>",
+    ):
+        assert lint_source(_BARE, path) == [], path
+
+
+def test_sorted_unique_is_the_blessed_spelling():
+    src = (
+        "from repro.sortops import sorted_unique\n"
+        "u, c = sorted_unique(k, return_counts=True)\n"
+    )
+    assert lint_source(src, _HOT) == []
+
+
+def test_bare_unique_waiver_suppresses_and_goes_stale():
+    waived = (
+        "import numpy as np\n"
+        "u = np.unique(k)  # lint: allow(bare-unique) cold path\n"
+    )
+    assert lint_source(waived, _HOT) == []
+    stale = "u = sorted(k)  # lint: allow(bare-unique) cold path\n"
+    assert [d.rule for d in lint_source(stale, _HOT)] == ["waiver/stale"]
+
+
+@pytest.mark.parametrize("path", lint_fixture_files(), ids=os.path.basename)
+def test_each_lint_fixture_flags_exactly_its_rule(path):
+    expected = {"bare_unique.py": "lint/bare-unique"}[os.path.basename(path)]
+    with open(path, encoding="utf-8") as fh:
+        diags = lint_source(fh.read(), path=path)
+    assert {d.rule for d in diags} == {expected}
 
 
 # -- machinery -----------------------------------------------------------

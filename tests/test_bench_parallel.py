@@ -188,6 +188,12 @@ def test_bench_wallclock_writes_report(tmp_path, monkeypatch):
     assert "fig12" in report["pipelines"]
     assert report["pipelines"]["fig12"]["seconds"] > 0
     assert report["meta"]["cpus"] == os.cpu_count()
+    import numpy
+    import scipy
+
+    assert report["meta"]["numpy"] == numpy.__version__
+    assert report["meta"]["scipy"] == scipy.__version__
+    assert report["meta"]["cpu_model"]
     assert set(report["estimate_cache"]) >= {"hits", "misses", "hit_rate"}
 
 

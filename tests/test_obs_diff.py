@@ -98,8 +98,31 @@ def test_is_timing_key():
     assert is_timing_key("pipelines.fig9.seconds")
     assert is_timing_key("a.b.time_s")
     assert is_timing_key("wall_seconds")
+    assert is_timing_key("dispatch.inline.per_request_us")
+    assert is_timing_key("frontier.full.elapsed_s")
     assert not is_timing_key("estimate_cache.hits")
     assert not is_timing_key("meta.cpus")
+    assert not is_timing_key("dispatch.inline.requests_per_s")
+    assert not is_timing_key("frontier.speedup")
+
+
+def test_dispatch_and_frontier_timings_gate():
+    old = {
+        "dispatch": {"inline": {"per_request_us": 20.0, "elapsed_s": 0.004,
+                                "requests_per_s": 50000.0}},
+        "frontier": {"full": {"elapsed_s": 0.2}, "speedup": 1.7},
+    }
+    slow_dispatch = json.loads(json.dumps(old))
+    slow_dispatch["dispatch"]["inline"]["per_request_us"] = 30.0
+    result = diff_reports(old, slow_dispatch, threshold=0.25)
+    assert [e.path for e in result.regressions] == [
+        "dispatch.inline.per_request_us"
+    ]
+    slow_frontier = json.loads(json.dumps(old))
+    slow_frontier["frontier"]["full"]["elapsed_s"] = 0.3
+    slow_frontier["frontier"]["speedup"] = 1.0  # informational only
+    result = diff_reports(old, slow_frontier, threshold=0.25)
+    assert [e.path for e in result.regressions] == ["frontier.full.elapsed_s"]
 
 
 def test_negative_threshold_rejected():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -174,3 +175,35 @@ def test_cli_smoke_writes_report_and_manifest(tmp_path):
     assert metrics["serve.request_latency.count"] == 12
     for stat in ("p50", "p95", "p99"):
         assert metrics[f"serve.request_latency.{stat}"] > 0
+
+
+def test_cli_serve_sigterm_right_after_readiness_shuts_down_cleanly(tmp_path):
+    """The handlers are live before the readiness line is printed, so a
+    SIGTERM sent the moment it appears still stops the front end and the
+    server and unlinks every store segment the warmup published."""
+    store_dir = tmp_path / "store"
+    env = dict(
+        os.environ, PYTHONPATH="src", REPRO_STORE_BACKEND="mmap",
+        REPRO_STORE_DIR=str(store_dir),
+    )
+    env.pop("REPRO_NO_SHARED_STORE", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--serve",
+         "--host", "127.0.0.1", "--port", "0", "--warm", "smoke"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    try:
+        ready = json.loads(proc.stdout.readline())
+        proc.send_signal(signal.SIGTERM)
+        assert ready["serving"]["port"] > 0
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "[serve: shutting down]" in err
+    assert "[warm: " in err
+    assert store_dir.is_dir(), "warmup published no store segments"
+    assert os.listdir(store_dir) == []
