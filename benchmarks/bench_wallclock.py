@@ -24,10 +24,9 @@ committed, diffable number.
 
 A ``dispatch`` section (skippable with ``--no-dispatch``) additionally
 records batched engine-dispatch throughput — requests/sec through the
-inline, pool, and sharded executors, with the sharded path measured
-both over the legacy pickle transport (``REPRO_NO_SHARED_STORE=1``) and
-over ``repro.store`` fingerprint handles, so the zero-copy store's
-per-request win is a committed, diffable number.
+two executors: inline, and sharded over ``repro.store`` fingerprint
+handles — so the per-request cost of crossing a process boundary is a
+committed, diffable number.
 """
 
 from __future__ import annotations
@@ -45,27 +44,17 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 DEFAULT_PIPELINES = ("fig9", "fig12", "table3")
 
 
-def _cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine() or "unknown"
-
-
 def host_meta(**extra) -> dict:
     """Provenance of the timings: interpreter, NumPy/SciPy, CPU."""
     import numpy
     import scipy
+    from repro.obs.manifest import cpu_model
 
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "cpu_model": _cpu_model(),
+        "cpu_model": cpu_model(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         **extra,
@@ -123,7 +112,7 @@ def run_pipelines(
         subgraphs=subgraphs,
         fig12_nodes=fig12_nodes,
     )
-    # Unified observability snapshot (plan-check totals, pool fan-out
+    # Unified observability snapshot (plan-check totals, shard fan-out
     # accounting, ...).  Informational in `repro.obs diff` — only the
     # timing keys above are regression-gated.
     report["metrics"] = snapshot()
@@ -169,7 +158,7 @@ def run_frontier_bench(*, max_edges: int | None = None) -> dict:
 
 #: Batched-dispatch workload: every (graph, kernel, k) combination below
 #: becomes one request per batch; four graphs -> four work units per
-#: batch, so pool/sharded executors genuinely fan out.
+#: batch, so the sharded executor genuinely fans out.
 DISPATCH_GRAPHS = ("corafull", "aifb", "mutag", "bgs")
 DISPATCH_KERNELS = ("hp-spmm", "ge-spmm", "row-split")
 DISPATCH_KS = (32, 64)
@@ -221,14 +210,8 @@ def run_dispatch(
     max_edges: int | None = None,
     batches: int = DISPATCH_BATCHES,
 ) -> dict:
-    """Batched engine-dispatch throughput: inline vs pool vs sharded.
-
-    The sharded executor is measured twice — once shipping matrices over
-    the worker queues (``REPRO_NO_SHARED_STORE=1``, the pre-store pickle
-    path) and once shipping store fingerprints — so the report carries
-    the store's per-request win as a single ratio.
-    """
-    from repro.engine import Engine, PoolExecutor, ShardedExecutor
+    """Batched engine-dispatch throughput: inline vs 2 shard workers."""
+    from repro.engine import Engine, ShardedExecutor
     from repro.store import store_counters
 
     requests = _dispatch_requests(max_edges)
@@ -242,23 +225,6 @@ def run_dispatch(
     }
 
     report["inline"] = _time_dispatch(Engine(), requests, batches)
-    report["pool"] = _time_dispatch(
-        Engine(executor=PoolExecutor(jobs=2)), requests, batches
-    )
-
-    prior = os.environ.get("REPRO_NO_SHARED_STORE")
-    os.environ["REPRO_NO_SHARED_STORE"] = "1"
-    try:
-        with ShardedExecutor(workers=2) as executor:
-            report["sharded_pickle"] = _time_dispatch(
-                Engine(executor=executor), requests, batches
-            )
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_NO_SHARED_STORE", None)
-        else:
-            os.environ["REPRO_NO_SHARED_STORE"] = prior
-
     before = store_counters()
     with ShardedExecutor(workers=2) as executor:
         report["sharded_store"] = _time_dispatch(
@@ -268,11 +234,6 @@ def run_dispatch(
     report["store_delta"] = {
         key: after[key] - before[key] for key in sorted(after)
     }
-    report["sharded_store_speedup_vs_pickle"] = round(
-        report["sharded_pickle"]["per_request_us"]
-        / report["sharded_store"]["per_request_us"],
-        3,
-    )
     return report
 
 
@@ -352,16 +313,12 @@ def main(argv: list[str] | None = None) -> int:
         )
     if "dispatch" in report:
         d = report["dispatch"]
-        for variant in ("inline", "pool", "sharded_pickle", "sharded_store"):
+        for variant in ("inline", "sharded_store"):
             row = d[variant]
             print(
                 f"{variant:>16}: {row['requests_per_s']:9.1f} req/s  "
                 f"({row['per_request_us']:.1f} us/req)"
             )
-        print(
-            f"{'store speedup':>16}: "
-            f"{d['sharded_store_speedup_vs_pickle']:.2f}x vs pickle path"
-        )
     print(f"-> {args.output}")
     from repro.obs import export_trace, tracing_enabled
 

@@ -3,16 +3,17 @@
 Usage::
 
     python -m repro.bench fig9 [--k 64] [--max-edges 1500000]
-    python -m repro.bench all --jobs 4
+    python -m repro.bench all --workers 4
     python -m repro.bench list
 
 Reports are printed and written under ``results/`` (override with
 REPRO_RESULTS_DIR), each with a ``<id>.manifest.json`` run manifest
-beside it.  ``--jobs N`` (or ``REPRO_JOBS``) fans sweep work over N
-worker processes; ``--timing`` appends a wall-clock + estimate cache
-summary line per experiment.  ``REPRO_TRACE=<path>`` records a
-Chrome-trace/Perfetto span timeline of the whole run and exports it on
-exit (run without ``--jobs`` for a complete single-process trace).
+beside it.  ``--workers N`` (or ``REPRO_JOBS``) fans sweep work over N
+shard worker processes when N is 2 or more; reports are identical
+either way.  ``--timing`` appends a wall-clock + estimate cache summary
+line per experiment.  ``REPRO_TRACE=<path>`` records a Chrome-trace/
+Perfetto span timeline of the whole run, shard-worker spans included,
+and exports it on exit.
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ def main(argv: list[str] | None = None) -> int:
         "--subgraphs", type=int, default=None, help="sampling-dataset size (fig10/table3)"
     )
     parser.add_argument(
-        "--jobs",
+        "--workers",
         type=int,
         default=None,
-        help="worker processes for sweeps (sets REPRO_JOBS; 0 = all cores)",
+        help="shard worker processes for sweeps (sets REPRO_JOBS; below "
+        "2 = inline, 0 = all cores)",
     )
     parser.add_argument(
         "--timing",
@@ -73,8 +75,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--predicted-frontier only applies to 'frontier'")
     if args.topk is not None and not args.predicted_frontier:
         parser.error("--topk requires --predicted-frontier")
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
+    if args.workers is not None:
+        os.environ["REPRO_JOBS"] = str(args.workers)
 
     if args.experiment == "list":
         for name in EXPERIMENTS:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import EstimateRequest, default_engine
+from ..engine import Engine, EstimateRequest, make_executor
 from ..gpusim import DeviceSpec, TESLA_V100
 from ..graphs import DegreeStats, pearson_r, variance_graph, variance_suite_specs
-from ..perf import parallel_map
 from .tables import render_table
 
 
@@ -39,32 +38,6 @@ class Fig12Result:
         return table + f"\nPearson's r = {self.pearson:.3f} (paper: 0.90)"
 
 
-def _fig12_one_graph(
-    item: tuple[tuple[int, float, float, int], int, DeviceSpec],
-) -> tuple[float, float, float]:
-    """Generate one suite graph and time both kernels on it.
-
-    Module-level so ``parallel_map`` can fan graph construction *and*
-    estimation over worker processes (each graph is independent).
-    Returns ``(degree std, mean degree, speedup)``.
-    """
-    spec, k, device = item
-    graph = variance_graph(spec)
-    st = DegreeStats.of(graph)
-    # Inline engine inside the worker: the fan-out is already per-graph
-    # here, so each worker evaluates its two kernels serially.
-    eng = default_engine()
-    t_hp = eng.estimate(
-        EstimateRequest(op="spmm", kernel="hp-spmm", k=k, device=device),
-        matrix=graph,
-    ).time_s
-    t_ge = eng.estimate(
-        EstimateRequest(op="spmm", kernel="ge-spmm", k=k, device=device),
-        matrix=graph,
-    ).time_s
-    return st.std, st.mean, t_ge / t_hp
-
-
 def run_fig12(
     *,
     k: int = 64,
@@ -73,17 +46,37 @@ def run_fig12(
     num_nodes: int = 20_000,
     mean_degree: float = 23.0,
     seed: int = 7,
+    workers: int | None = None,
 ) -> Fig12Result:
-    """Run the degree-variance sensitivity experiment."""
+    """Run the degree-variance sensitivity experiment.
+
+    ``workers`` (default: ``REPRO_JOBS``) picks the executor that both
+    builds the suite graphs and prices them; results are identical
+    either way.
+    """
     specs = variance_suite_specs(
         num_graphs=num_graphs,
         num_nodes=num_nodes,
         mean_degree=mean_degree,
         seed=seed,
     )
-    rows = parallel_map(
-        _fig12_one_graph, [(spec, k, device) for spec in specs]
-    )
+    names = [f"variance-{i}" for i in range(len(specs))]
+    requests = [
+        EstimateRequest(op="spmm", kernel=kernel, graph=name, k=k, device=device)
+        for name in names
+        for kernel in ("hp-spmm", "ge-spmm")
+    ]
+    with make_executor(workers) as executor:
+        graphs = executor.map(variance_graph, specs)
+        batch = Engine(executor=executor).estimate_batch(
+            requests, matrices=dict(zip(names, graphs))
+        )
+    times = [res.time_s for res in batch]
+    rows = []
+    for i, graph in enumerate(graphs):
+        st = DegreeStats.of(graph)
+        t_hp, t_ge = times[2 * i], times[2 * i + 1]
+        rows.append((st.std, st.mean, t_ge / t_hp))
     # Ascending std-dev order, as in the paper's figure (and as
     # variance_suite orders the graphs).
     rows.sort(key=lambda r: r[0])

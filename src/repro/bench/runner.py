@@ -21,7 +21,7 @@ from ..engine import (
     # Re-exported: historically defined here; tests and callers import
     # them from the runner.
     PlanCheckError,  # noqa: F401
-    PoolExecutor,
+    make_executor,
     plan_checking_enabled,  # noqa: F401
 )
 from ..config import env_str
@@ -113,7 +113,7 @@ def _sweep(
     *,
     k: int,
     device: DeviceSpec,
-    jobs: int | None,
+    workers: int | None,
     kernels_by_graph: dict | None = None,
 ) -> SweepResult:
     out = SweepResult(device=device.name, k=k)
@@ -130,14 +130,14 @@ def _sweep(
         for kname in per_graph.get(gname, kernels)
     ]
     METRICS.inc("bench.sweeps")
-    engine = Engine(_SWEEP_CONFIG, executor=PoolExecutor(jobs=jobs))
     # A plan-check failure propagates as PlanCheckError (the engine
     # counts ``plan_check.failed``) instead of returning partial runs.
-    with trace_span(
+    with make_executor(workers) as executor, trace_span(
         f"sweep[{op}]", cat="bench",
         k=k, device=device.name, graphs=len(graphs),
         kernels=len(kernels),
     ):
+        engine = Engine(_SWEEP_CONFIG, executor=executor)
         batch = engine.estimate_batch(requests, matrices=matrices)
     for res in batch:
         out.runs.append(
@@ -166,18 +166,19 @@ def sweep_spmm(
     *,
     k: int = 64,
     device: DeviceSpec = TESLA_V100,
-    jobs: int | None = None,
+    workers: int | None = None,
     kernels_by_graph: dict | None = None,
 ) -> SweepResult:
     """Timing-only SpMM sweep of ``kernels`` over named graphs.
 
-    ``jobs`` (default: the ``REPRO_JOBS`` environment variable) fans
-    per-graph work over a process pool; results keep graph order.
+    ``workers`` (default: the ``REPRO_JOBS`` environment variable) fans
+    per-graph work over that many shard workers when 2 or more (see
+    :func:`repro.engine.make_executor`); results keep graph order.
     ``kernels_by_graph`` maps graph names to a kernel subset to sweep
     there instead of ``kernels`` (the predicted-frontier path).
     """
     return _sweep(
-        "spmm", graphs, kernels, k=k, device=device, jobs=jobs,
+        "spmm", graphs, kernels, k=k, device=device, workers=workers,
         kernels_by_graph=kernels_by_graph,
     )
 
@@ -188,10 +189,12 @@ def sweep_sddmm(
     *,
     k: int = 64,
     device: DeviceSpec = TESLA_V100,
-    jobs: int | None = None,
+    workers: int | None = None,
 ) -> SweepResult:
     """Timing-only SDDMM sweep of ``kernels`` over named graphs."""
-    return _sweep("sddmm", graphs, kernels, k=k, device=device, jobs=jobs)
+    return _sweep(
+        "sddmm", graphs, kernels, k=k, device=device, workers=workers
+    )
 
 
 def results_dir() -> str:

@@ -87,11 +87,6 @@ ENV_VARS: dict[str, EnvVar] = {
         ),
         # -- perf --------------------------------------------------------
         EnvVar(
-            "REPRO_JOBS", TYPE_INT, "1", "perf",
-            "process-pool width for sweeps (`1` serial, `auto`/`0` = cpu "
-            "count)",
-        ),
-        EnvVar(
             "REPRO_NO_ESTIMATE_CACHE", TYPE_FLAG, "off", "perf",
             "set to `1` to bypass the estimate memo cache",
         ),
@@ -105,15 +100,15 @@ ENV_VARS: dict[str, EnvVar] = {
         ),
         # -- engine ------------------------------------------------------
         EnvVar(
+            "REPRO_JOBS", TYPE_INT, "1", "engine",
+            "shard workers when no `--workers`/`workers=` is given (below "
+            "`2` = inline, `auto`/`0` = cpu count)",
+        ),
+        EnvVar(
             "REPRO_NO_PLAN_CHECK", TYPE_FLAG, "off", "engine",
             "set to `1` to skip per-sweep-point kernel plan checking",
         ),
         # -- store -------------------------------------------------------
-        EnvVar(
-            "REPRO_NO_SHARED_STORE", TYPE_FLAG, "off", "store",
-            "set to `1` to disable the shared store (executors revert to "
-            "pickling matrices)",
-        ),
         EnvVar(
             "REPRO_STORE_BACKEND", TYPE_CHOICE, "shm", "store",
             "`shm` (POSIX shared memory) or `mmap` (files under "
@@ -168,10 +163,6 @@ ENV_VARS: dict[str, EnvVar] = {
         EnvVar(
             "REPRO_WORLD_K", TYPE_INT, "32", "world",
             "feature width the world sweep estimates every kernel at",
-        ),
-        EnvVar(
-            "REPRO_WORLD_WORKERS", TYPE_INT, "0", "world",
-            "shard workers for the world sweep (`0`/`1` = inline dispatch)",
         ),
         # -- select ------------------------------------------------------
         EnvVar(

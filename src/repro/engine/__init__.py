@@ -51,8 +51,9 @@ from .core import (
 from .executors import (
     Executor,
     InlineExecutor,
-    PoolExecutor,
     ShardedExecutor,
+    make_executor,
+    resolve_jobs,
 )
 from .priors import CostPriorBook, cost_priors
 from .registry import (
@@ -83,7 +84,6 @@ __all__ = [
     "OP_SDDMM",
     "OP_SPMM",
     "PlanCheckError",
-    "PoolExecutor",
     "STATUS_ERROR",
     "STATUS_OK",
     "Selection",
@@ -95,7 +95,9 @@ __all__ = [
     "default_engine",
     "estimate_caching_enabled",
     "kernel_factory",
+    "make_executor",
     "make_kernel",
     "plan_checking_enabled",
+    "resolve_jobs",
     "valid_kernels",
 ]

@@ -44,7 +44,7 @@ from ..obs.tracer import get_tracer
 from ..perf.estimate_cache import cache_enabled
 from ..perf.fingerprint import structural_features
 from ..select.policy import Candidate, active_policy, default_topk
-from ..store import StoreError, StoreHandle, get_store, store_enabled
+from ..store import StoreError, StoreHandle, get_store
 from .bounds import VALID_BOUNDS
 from .executors import Executor, InlineExecutor
 from .priors import cost_priors
@@ -372,9 +372,8 @@ def _point_body(unit: _WorkUnit, pt: _Point) -> tuple[_Outcome, tuple]:
 def _execute_unit(unit: _WorkUnit) -> _UnitOutput:
     """All points of one unit, serially, in request order.
 
-    Module-level (picklable) so every executor — inline loop, the
-    ``REPRO_JOBS`` process pool, the sharded worker servers — ships the
-    same work body.  Deterministic estimates make the executor choice
+    Module-level (picklable) so both executors — the inline loop and
+    the sharded worker servers — run the same work body.  Deterministic estimates make the executor choice
     invisible in the results.
     """
     _materialize(unit)
@@ -421,10 +420,9 @@ class Engine:
         Pipeline policy (plan checking, error capture, span naming).
     executor:
         How planned work units run: :class:`InlineExecutor` (default,
-        serial), :class:`~repro.engine.executors.PoolExecutor`
-        (``REPRO_JOBS`` process pool, worker spans spliced back) or
-        :class:`~repro.engine.executors.ShardedExecutor` (persistent
-        worker servers).
+        serial) or :class:`~repro.engine.executors.ShardedExecutor`
+        (persistent worker servers, worker spans spliced back); see
+        :func:`~repro.engine.executors.make_executor`.
     """
 
     def __init__(
@@ -600,9 +598,7 @@ class Engine:
         # Publish matrices only for executors that actually cross a
         # process boundary — inline batches never pay pickling, so the
         # store would be pure overhead there.
-        publish = store_enabled() and getattr(
-            self.executor, "ships_work", False
-        )
+        publish = getattr(self.executor, "ships_work", False)
         groups: dict[tuple, list[tuple[int, EstimateRequest]]] = {}
         for i, req in enumerate(requests):
             groups.setdefault(req.group_key, []).append((i, req))

@@ -3,25 +3,25 @@
 An executor is anything with ``map(fn, items) -> list`` that preserves
 item order.  The engine's work units are deterministic pure functions of
 their inputs, so the executor choice changes wall-clock time and process
-topology — never results.  Three strategies cover the repo's needs:
+topology — never results.  Two strategies exist, and
+:func:`make_executor` picks between them with one rule — resolve the
+worker count once (an explicit ``workers`` argument, else
+``REPRO_JOBS``), then run inline below 2 workers and sharded otherwise:
 
 * :class:`InlineExecutor` — a plain serial loop in the calling process.
-  No pool counters, no extra processes; the default, and what the
-  fig/table scripts and GNN timing use (their evaluation loops were
-  always inline).
-* :class:`PoolExecutor` — delegates to :func:`repro.perf.parallel_map`,
-  keeping every behavior call sites already rely on: ``REPRO_JOBS``
-  resolution, deterministic ordering, serial fallback on pool
-  infrastructure failures only, ``parallel.*`` counters, and worker
-  tracer spans spliced back onto the parent trace.
+  No extra processes and no store traffic; what every caller gets by
+  default.
 * :class:`ShardedExecutor` — a pool of *persistent* worker server
-  processes (the ROADMAP "multi-worker serving" item).  Where
-  ``PoolExecutor`` builds and tears down a pool per batch, the sharded
-  workers live across batches, so a serving process pays fork cost once
-  and every subsequent batch only pays queue traffic.  Units are
-  sharded round-robin; results return in item order; worker spans are
-  shipped back and spliced like the pool path; a worker exception is
-  re-raised in the parent (lowest item index first, for determinism).
+  processes.  Workers live across batches, so a serving process pays
+  fork cost once and every subsequent batch only pays queue traffic.
+  Matrices travel as shared-store handles (the planner publishes them
+  because ``ships_work`` is true).  Units are sharded round-robin;
+  results return in item order; worker spans are shipped back and
+  spliced onto the parent trace; a worker exception is re-raised in the
+  parent (lowest item index first, for determinism); a worker that dies
+  outright stops the executor and raises instead of hanging.
+
+This module is the only place in the package that creates processes.
 """
 
 from __future__ import annotations
@@ -29,17 +29,40 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import queue
 from typing import Callable, Protocol, Sequence
 
+from ..config import env_str
 from ..obs import METRICS, trace_span
 from ..obs.tracer import Tracer, get_tracer, set_tracer
-from ..perf.parallel import parallel_map, resolve_jobs
 from ..store import StoreAttachError, get_store, store_counters
 
 #: Failures creating processes/queues in restricted sandboxes.
 _SPAWN_FAILURES = (OSError, PermissionError, ValueError, ImportError)
 
 _STOP = None  # sentinel shutting down a shard worker
+
+#: Seconds between liveness checks while waiting on shard replies.
+_REPLY_POLL_S = 0.5
+
+
+def resolve_jobs() -> int:
+    """Worker count from ``REPRO_JOBS``.
+
+    Unset or ``1`` means inline; ``N`` means N workers; ``0`` or
+    ``auto`` means one worker per CPU.
+    """
+    raw = env_str("REPRO_JOBS", "1").lower()
+    if raw in ("", "0", "auto"):
+        jobs = os.cpu_count() or 1
+    else:
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, 'auto' or unset; got {raw!r}"
+            ) from None
+    return max(1, jobs)
 
 
 class Executor(Protocol):
@@ -57,38 +80,38 @@ class Executor(Protocol):
 
 
 class InlineExecutor:
-    """Serial, in-process evaluation — the deterministic baseline."""
+    """Serial, in-process evaluation — the deterministic baseline.
+
+    A no-op context manager, so callers holding either executor kind
+    write one ``with`` block.
+    """
 
     ships_work = False
 
     def map(self, fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
 
+    def __enter__(self) -> "InlineExecutor":
+        return self
 
-class PoolExecutor:
-    """Per-batch process-pool fan-out via :func:`repro.perf.parallel_map`.
+    def __exit__(self, *exc) -> None:
+        pass
 
-    ``jobs=None`` defers to ``REPRO_JOBS`` exactly as the bench runner
-    and serve layer always have; all ``parallel.*`` counters and the
-    worker-span splicing behavior are ``parallel_map``'s own.
+
+def make_executor(
+    workers: int | None = None, *, affinity=None
+) -> "InlineExecutor | ShardedExecutor":
+    """The executor for ``workers`` (default: ``REPRO_JOBS``).
+
+    Fewer than 2 workers runs inline; otherwise a
+    :class:`ShardedExecutor` of that width (``affinity`` is passed on
+    and ignored inline).  Use the result as a context manager so
+    sharded workers are stopped when the caller is done.
     """
-
-    ships_work = True
-
-    def __init__(self, jobs: int | None = None) -> None:
-        self.jobs = jobs
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        seq_items = list(items)
-        try:
-            return parallel_map(fn, seq_items, jobs=self.jobs)
-        except StoreAttachError:
-            # A pool worker could not attach a shared segment (unlinked
-            # or corrupted).  The parent's items keep their full
-            # matrices, so re-evaluating inline is exact — the store is
-            # a transport optimization, never a correctness dependency.
-            get_store().record_fallback()
-        return [fn(item) for item in seq_items]
+    n = resolve_jobs() if workers is None else workers
+    if n < 2:
+        return InlineExecutor()
+    return ShardedExecutor(n, affinity=affinity)
 
 
 def _shard_worker_loop(inbox, outbox) -> None:
@@ -96,9 +119,9 @@ def _shard_worker_loop(inbox, outbox) -> None:
 
     Each item runs under a worker-local tracer anchored at the parent
     tracer's ``t0_ns`` (when the parent traces), and the spans ship back
-    with the result — the same splicing contract as ``parallel_map``
-    pool workers, tagged ``shard_worker`` instead.  Worker exceptions
-    come back as data; the parent re-raises them deterministically.
+    with the result, tagged ``shard_worker``, for the parent to splice.
+    Worker exceptions come back as data; the parent re-raises them
+    deterministically.
     """
     pid = os.getpid()
     while True:
@@ -147,13 +170,15 @@ def _shard_worker_loop(inbox, outbox) -> None:
 class ShardedExecutor:
     """Persistent worker servers sharding batches round-robin.
 
-    ``workers`` fixes the pool size; ``None`` resolves via
-    ``REPRO_JOBS`` (minimum 2 — a single shard is just a slow inline
-    loop).  Workers start lazily on the first ``map`` and persist until
+    ``workers`` fixes the pool size (callers normally get one from
+    :func:`make_executor`, which only builds this for 2 or more).
+    Workers start lazily on the first ``map`` and persist until
     :meth:`stop` (or context-manager exit).  In sandboxes that forbid
     process/queue creation, ``map`` falls back to the inline loop and
     counts ``engine.shard_fallbacks`` — results are identical either
-    way.
+    way.  A worker that dies mid-batch (killed, or ``fn`` exiting the
+    process) stops the executor and raises :class:`RuntimeError`; the
+    next ``map`` starts fresh workers.
 
     ``affinity`` pins items to shards: a callable taking one work item
     and returning a shard key (any int — reduced modulo the pool size)
@@ -166,12 +191,10 @@ class ShardedExecutor:
 
     ships_work = True
 
-    def __init__(
-        self, workers: int | None = None, *, affinity=None
-    ) -> None:
-        if workers is not None and workers < 1:
+    def __init__(self, workers: int, *, affinity=None) -> None:
+        if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._requested = workers
+        self._workers = workers
         self._affinity = affinity
         self._procs: list = []
         self._inboxes: list = []
@@ -191,16 +214,11 @@ class ShardedExecutor:
     def worker_count(self) -> int:
         return len(self._procs)
 
-    def _resolve_workers(self) -> int:
-        if self._requested is not None:
-            return self._requested
-        return max(2, resolve_jobs())
-
     def start(self) -> None:
         """Fork the worker servers (idempotent)."""
         if self._procs:
             return
-        n = self._resolve_workers()
+        n = self._workers
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
         else:
@@ -234,6 +252,9 @@ class ShardedExecutor:
         for q in [*self._inboxes, self._outbox]:
             if q is not None:
                 q.close()
+                # No reader is left: never block interpreter exit on
+                # flushing items a dead worker will not take.
+                q.cancel_join_thread()
         self._procs = []
         self._inboxes = []
         self._outbox = None
@@ -245,6 +266,32 @@ class ShardedExecutor:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    def _next_reply(self) -> tuple:
+        """The next worker reply; raises if a worker died waiting for it.
+
+        A dead worker never answers, so a blocking ``get`` would hang
+        forever.  The executor is stopped before raising (its queues may
+        be wedged by the dead writer) and the error is not retried
+        inline: whatever killed the worker could kill the parent too.
+        """
+        while True:
+            try:
+                return self._outbox.get(timeout=_REPLY_POLL_S)
+            except queue.Empty:
+                pass
+            dead = [p for p in self._procs if p.exitcode is not None]
+            if dead:
+                # The survivors' queued items are abandoned, so there is
+                # nothing to drain: terminate rather than wait for them.
+                for proc in self._procs:
+                    if proc.is_alive():
+                        proc.terminate()
+                self.stop()
+                raise RuntimeError(
+                    f"shard worker pid {dead[0].pid} died with exit code "
+                    f"{dead[0].exitcode}; executor stopped"
+                )
 
     # -- execution ------------------------------------------------------
     def map(self, fn: Callable, items: Sequence) -> list:
@@ -304,7 +351,7 @@ class ShardedExecutor:
                 self._inboxes[target].put((base + i, fn, item, t0_ns))
             replies: dict[int, tuple] = {}
             for _ in seq_items:
-                seq, status, payload, spans, pid, delta = self._outbox.get()
+                seq, status, payload, spans, pid, delta = self._next_reply()
                 replies[seq] = (status, payload)
                 self.dispatch_counts[pid] = (
                     self.dispatch_counts.get(pid, 0) + 1

@@ -65,18 +65,24 @@ class Tensor:
         """
         if grad is None:
             grad = np.ones_like(self.data)
+        # Iterative post-order DFS (parents before children, first-visit
+        # order).  Not a recursive nested closure: one that calls itself
+        # is a reference cycle, which would keep the whole graph — every
+        # activation and gradient — alive until the cyclic GC happens to
+        # run, making peak memory depend on when it does.
         topo: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(t: "Tensor") -> None:
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         self._accumulate(np.asarray(grad, dtype=np.float32))
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:

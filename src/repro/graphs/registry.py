@@ -171,7 +171,7 @@ def _load_cached(name: str, max_edges: int) -> Dataset:
     # Registry datasets are re-backed by their shared-store segment, so
     # the in-process copy IS the copy every worker attaches (zero-copy
     # dispatch) and the matrix arrives pre-fingerprinted.  Returns the
-    # original matrix untouched when the store is disabled.
+    # original matrix untouched when publication fails.
     return Dataset(spec=spec, matrix=shared_matrix(matrix))
 
 

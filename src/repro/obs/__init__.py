@@ -8,10 +8,10 @@ provides four zero-dependency pieces (DESIGN.md §2, "obs/"):
 * :mod:`repro.obs.tracer` — a span tracer (context-manager API, off by
   default, enabled via ``REPRO_TRACE``) exporting Chrome-trace/Perfetto
   JSON, instrumented into the bench sweeps, kernel estimates, the
-  estimate cache, the process-pool fan-out and GNN training accrual;
+  estimate cache, the sharded fan-out and GNN training accrual;
 * :mod:`repro.obs.metrics` — a process-wide counters registry unifying
   the previously scattered stats (estimate-cache hits/misses/evictions,
-  plan-check pass/fail, pool jobs/fallbacks, disk-cache errors) behind
+  plan-check pass/fail, shard runs/fallbacks, disk-cache errors) behind
   one :func:`snapshot`;
 * :mod:`repro.obs.manifest` — run manifests (config, env flags,
   versions, metrics) written next to every ``results/`` report;

@@ -16,7 +16,7 @@ Schema (all keys always present)::
       "config": {...},              # runner kwargs, if the caller knows them
       "env": {"REPRO_MAX_EDGES": "60000", ...},   # REPRO_* only
       "versions": {"python": "3.11.7", "numpy": ..., "scipy": ...},
-      "platform": {"machine": "x86_64", "cpus": 8},
+      "platform": {"machine": "x86_64", "cpus": 8, "cpu_model": "..."},
       "metrics": {...}              # repro.obs.metrics.snapshot()
     }
 """
@@ -50,6 +50,19 @@ def _versions() -> dict[str, str]:
     }
 
 
+def cpu_model() -> str:
+    """The CPU's model name (``/proc/cpuinfo``), else what ``platform``
+    knows, else ``"unknown"``."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
 def run_manifest(experiment: str, config: dict | None = None) -> dict:
     """Build the manifest payload for one experiment run."""
     return {
@@ -61,6 +74,7 @@ def run_manifest(experiment: str, config: dict | None = None) -> dict:
         "platform": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "cpu_model": cpu_model(),
         },
         "metrics": snapshot(),
     }

@@ -2,16 +2,17 @@
 
 Before this module, run statistics lived in scattered places: the
 estimate cache kept hit/miss/eviction/disk-error counts on its own
-instance, the bench runner printed plan-check totals to stderr, and the
-process-pool fan-out had no accounting at all.  :data:`METRICS` is the
+instance, the bench runner printed plan-check totals to stderr, and
+process fan-out had no accounting at all.  :data:`METRICS` is the
 single registry those subsystems increment, and :func:`snapshot` merges
 it with the live estimate-cache stats into one plain dict — the payload
 embedded in every run manifest (:mod:`repro.obs.manifest`).
 
 Counter names are dotted, ``subsystem.event``:
 
-* ``parallel.pool_runs`` / ``parallel.pool_fallbacks`` /
-  ``parallel.serial_runs`` / ``parallel.items`` — fan-out accounting;
+* ``engine.shard_runs`` / ``engine.shard_items`` /
+  ``engine.shard_fallbacks`` / ``engine.shard_probes`` — sharded
+  fan-out accounting (see :mod:`repro.engine.executors`);
 * ``plan_check.checked`` / ``plan_check.failed`` and
   ``plan_check.diag_<severity>`` — static schedule checker totals;
 * ``bench.sweeps`` / ``bench.reports`` — harness activity;

@@ -3,7 +3,7 @@
 Two kinds of spans share one trace file:
 
 * **host spans** (:func:`trace_span`) measure wall-clock time of harness
-  work — sweeps, estimate calls, pool fan-out — on the ``host`` track;
+  work — sweeps, estimate calls, shard fan-out — on the ``host`` track;
 * **simulated spans** (:func:`trace_emit`) place simulated-GPU kernel
   durations on a separate ``sim-gpu`` track, so a Table-V training run
   shows the modeled kernel timeline the paper reads off Nsight Systems.
@@ -13,11 +13,10 @@ shared no-op context manager per call when disabled.  Enable it with
 ``REPRO_TRACE=<path>`` (or ``REPRO_TRACE=1`` for ``repro-trace.json``);
 the bench CLI and the wall-clock harness export automatically, and an
 ``atexit`` hook covers ad-hoc scripts.  Spans recorded inside
-``REPRO_JOBS`` process-pool workers are shipped back with each work
-item's result and spliced onto the parent trace (see
-:func:`repro.perf.parallel_map`), so parallel sweeps produce complete
-traces too — worker spans carry a ``pool_worker`` arg with the worker's
-pid.
+:class:`~repro.engine.ShardedExecutor` workers are shipped back with
+each work item's result and spliced onto the parent trace, so sharded
+runs produce complete traces too — worker spans carry a
+``shard_worker`` arg with the worker's pid.
 
 The export format is the Chrome Trace Event ``traceEvents`` array of
 complete (``"ph": "X"``) events, which both ``chrome://tracing`` and
@@ -85,7 +84,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._depths: dict[int, int] = {}
         # Trace timestamps are relative to tracer creation so the viewer
-        # opens at t=0 rather than at an epoch offset.  Pool workers pass
+        # opens at t=0 rather than at an epoch offset.  Shard workers pass
         # the parent tracer's ``t0_ns`` so their spans land on the parent
         # timeline (``perf_counter_ns`` is CLOCK_MONOTONIC on Linux —
         # shared across processes on one machine).
@@ -109,7 +108,7 @@ class Tracer:
 
     def splice(self, spans) -> None:
         """Append externally recorded spans (e.g. shipped back from
-        ``REPRO_JOBS`` pool workers by :func:`repro.perf.parallel_map`).
+        :class:`~repro.engine.ShardedExecutor` workers).
 
         The spans must already be on this tracer's timeline — workers
         achieve that by building their tracer with the parent's

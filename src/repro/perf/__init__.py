@@ -1,14 +1,14 @@
-"""Experiment-acceleration subsystem: estimate memoization + fan-out.
+"""Experiment-acceleration subsystem: estimate memoization.
 
-Three pillars (DESIGN.md §2, "perf/"):
+Two pillars (DESIGN.md §2, "perf/"):
 
 * :mod:`repro.perf.fingerprint` — content fingerprints of matrices,
   devices, cost params and kernel configurations;
 * :mod:`repro.perf.estimate_cache` — the sweep-level memo layer every
   ``SpMMKernel.estimate`` / ``SDDMMKernel.estimate`` call routes
-  through (in-process LRU + optional on-disk JSON store);
-* :mod:`repro.perf.parallel` — ``REPRO_JOBS``-controlled process-pool
-  ``parallel_map`` with deterministic ordering and serial fallback.
+  through (in-process LRU + optional on-disk JSON store).
+
+Process fan-out lives in :mod:`repro.engine.executors`.
 """
 
 from .estimate_cache import (
@@ -27,7 +27,6 @@ from .fingerprint import (
     matrix_fingerprint,
     structural_features,
 )
-from .parallel import parallel_map, resolve_jobs
 
 __all__ = [
     "EstimateCache",
@@ -42,6 +41,4 @@ __all__ = [
     "kernel_config_fingerprint",
     "matrix_fingerprint",
     "structural_features",
-    "parallel_map",
-    "resolve_jobs",
 ]

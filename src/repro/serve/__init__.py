@@ -4,8 +4,9 @@
 request/response service: callers submit ``(op, kernel, graph, K,
 device)`` queries with optional deadlines, and a micro-batching worker
 answers them — sharing one graph load and one structural fingerprint
-per batch group, deduplicating identical queries, fanning distinct ones
-over the ``REPRO_JOBS`` pool, and degrading to a quick roofline model
+per batch group, deduplicating identical queries, evaluating distinct
+ones through the engine (inline, or over sharded worker servers with
+``--workers``), and degrading to a quick roofline model
 when a deadline cannot survive the full cost-model simulation.
 
 Entry points:

@@ -17,10 +17,11 @@ manifest whose metrics snapshot carries the serving counters and the
 ``serve.request_latency`` p50/p95/p99.  ``REPRO_TRACE=<path>`` records
 per-request and per-batch spans alongside the usual estimate spans.
 
-``--serve`` runs the socket front end (:mod:`repro.serve.net`) until
-interrupted; with ``--workers N`` batches run on N persistent shard
-workers with a :class:`~repro.serve.router.ShardRouter` pinning each
-graph to the worker owning its structural fingerprint.  ``--warm
+Batches run inline unless ``--workers N`` (default ``REPRO_JOBS``) asks
+for 2 or more persistent shard workers.  ``--serve`` runs the socket
+front end (:mod:`repro.serve.net`) until interrupted; with shard workers
+a :class:`~repro.serve.router.ShardRouter` pins each graph to the worker
+owning its structural fingerprint.  ``--warm
 <workload>`` pre-evaluates that workload's unique signatures through
 the engine before accepting connections (and adopts the spec's batch
 parameters), so an open-loop soak measures steady-state latency rather
@@ -70,16 +71,12 @@ def main(argv: list[str] | None = None) -> int:
         help="override the registry edge cap",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for batch fan-out (sets REPRO_JOBS)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None,
         help=(
             "serve batches through N persistent sharded worker servers "
-            "(repro.engine.ShardedExecutor) instead of per-batch pools; "
-            "with --serve, a ShardRouter pins each graph to the worker "
-            "owning its structural fingerprint"
+            "(default REPRO_JOBS; below 2 = inline); with --serve, a "
+            "ShardRouter pins each graph to the worker owning its "
+            "structural fingerprint"
         ),
     )
     parser.add_argument(
@@ -126,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     if args.serve:
-        if args.jobs is not None:
-            os.environ["REPRO_JOBS"] = str(args.jobs)
         return _serve_mode(args)
     if args.connect is not None and args.workers is not None:
         print(
@@ -144,8 +139,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
 
     spec = WORKLOADS[args.workload]
     overrides = {}
@@ -181,30 +174,28 @@ def main(argv: list[str] | None = None) -> int:
                 f"error: cannot reach {args.connect}: {exc}", file=sys.stderr
             )
             return 2
-    elif args.workers is not None:
-        from ..engine import ShardedExecutor
-
-        with ShardedExecutor(workers=args.workers) as executor:
-            report = run_workload(spec, executor=executor)
-            print(
-                f"[sharded: {executor.worker_count} worker servers, "
-                f"dispatch={sorted(executor.dispatch_counts.values())}]",
-                file=sys.stderr,
-            )
     else:
-        report = run_workload(spec)
+        from ..engine import make_executor
 
-    from ..store import store_counters, store_enabled
+        with make_executor(args.workers) as executor:
+            report = run_workload(spec, executor=executor)
+            if executor.ships_work:
+                print(
+                    f"[sharded: {executor.worker_count} worker servers, "
+                    f"dispatch={sorted(executor.dispatch_counts.values())}]",
+                    file=sys.stderr,
+                )
 
-    if store_enabled():
-        sc = store_counters()
-        print(
-            f"[store: {sc['segments']} segments, "
-            f"{sc['bytes_shared']} bytes shared, "
-            f"attaches={sc['attaches']}+{sc['attach_hits']} cached, "
-            f"fallbacks={sc['fallbacks']}]",
-            file=sys.stderr,
-        )
+    from ..store import store_counters
+
+    sc = store_counters()
+    print(
+        f"[store: {sc['segments']} segments, "
+        f"{sc['bytes_shared']} bytes shared, "
+        f"attaches={sc['attaches']}+{sc['attach_hits']} cached, "
+        f"fallbacks={sc['fallbacks']}]",
+        file=sys.stderr,
+    )
 
     experiment = f"serve_{spec.name}"
     base = results_dir()
@@ -262,20 +253,14 @@ def _serve_mode(args) -> int:
             return 2
         warm_spec = WORKLOADS[args.warm]
 
-    executor = None
-    router = None
-    if args.workers is not None:
-        from ..engine import ShardedExecutor
-        from .router import ShardRouter
+    from ..engine import make_executor, resolve_jobs
+    from .router import ShardRouter
 
-        router = ShardRouter(args.workers)
-        executor = ShardedExecutor(
-            workers=args.workers, affinity=router.shard_of_unit
-        )
-        # Fork the shard workers before any serving thread exists —
-        # forking a process that already runs threads is the classic
-        # deadlock the procsafety thread-before-fork rule polices.
-        executor.start()
+    workers = resolve_jobs() if args.workers is None else args.workers
+    router = ShardRouter(workers) if workers >= 2 else None
+    executor = make_executor(
+        workers, affinity=router.shard_of_unit if router else None
+    )
 
     server_kwargs: dict = {}
     if warm_spec is not None:
@@ -286,47 +271,51 @@ def _serve_mode(args) -> int:
             max_batch=warm_spec.max_batch,
             batch_window_s=warm_spec.batch_window_s,
         )
-    server = EstimationServer(executor=executor, **server_kwargs)
-    front = SocketFrontEnd(
-        server, args.host, args.port, queue_high=args.queue_high
-    )
-    # Handlers go in before warmup and before the readiness line: a
-    # SIGTERM sent the moment a client sees that line must still run the
-    # finally-block (front/server/executor stop, store cleanup at exit).
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        if warm_spec is not None:
-            n_warm = server.warm(generate_requests(warm_spec))
-            print(
-                f"[warm: {n_warm} unique signatures from "
-                f"{warm_spec.name!r}]",
-                file=sys.stderr,
-            )
-        front.start()
-        host, port = front.address
-        line = {
-            "serving": {
-                "host": host, "port": port,
-                "workers": args.workers or 0,
-                "queue_high": front.queue_high,
+    # Entering the executor forks any shard workers before a serving
+    # thread exists — forking a process that already runs threads is
+    # the classic deadlock the procsafety thread-before-fork rule
+    # polices — and leaving it stops them after the server is down.
+    with executor:
+        server = EstimationServer(executor=executor, **server_kwargs)
+        front = SocketFrontEnd(
+            server, args.host, args.port, queue_high=args.queue_high
+        )
+        # Handlers go in before warmup and before the readiness line: a
+        # SIGTERM sent the moment a client sees that line must still run
+        # the finally-block (front/server/executor stop, store cleanup at
+        # exit).
+        stop = threading.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: stop.set())
+        try:
+            if warm_spec is not None:
+                n_warm = server.warm(generate_requests(warm_spec))
+                print(
+                    f"[warm: {n_warm} unique signatures from "
+                    f"{warm_spec.name!r}]",
+                    file=sys.stderr,
+                )
+            front.start()
+            host, port = front.address
+            line = {
+                "serving": {
+                    "host": host, "port": port,
+                    "workers": router.shards if router else 0,
+                    "queue_high": front.queue_high,
+                }
             }
-        }
-        print(json.dumps(line), flush=True)
-        if router is not None:
-            print(
-                f"[shard router: {router.shards} shards, "
-                f"{len(router.table())} placements after warmup]",
-                file=sys.stderr,
-            )
-        stop.wait()
-        print("[serve: shutting down]", file=sys.stderr)
-    finally:
-        front.stop()
-        server.stop()
-        if executor is not None:
-            executor.stop()
+            print(json.dumps(line), flush=True)
+            if router is not None:
+                print(
+                    f"[shard router: {router.shards} shards, "
+                    f"{len(router.table())} placements after warmup]",
+                    file=sys.stderr,
+                )
+            stop.wait()
+            print("[serve: shutting down]", file=sys.stderr)
+        finally:
+            front.stop()
+            server.stop()
     return 0
 
 

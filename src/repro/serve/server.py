@@ -25,9 +25,8 @@ from a single batching worker thread:
 4. **Evaluate.**  Full-path requests are deduplicated by
    :attr:`EstimateRequest.signature` (duplicates count as *deduped*) and
    the unique signatures become one :mod:`repro.engine` batch executed
-   by the server's :class:`~repro.engine.Executor` — the ``REPRO_JOBS``
-   pool by default (same fan-out as the bench sweeps), or the sharded
-   persistent workers (``--workers``).  Degraded requests are answered
+   by the server's :class:`~repro.engine.Executor` — inline by default,
+   or the sharded persistent workers (``--workers``).  Degraded requests are answered
    inline by :func:`repro.serve.estimator.quick_estimate`.
 
 Observability: every response's latency lands in the
@@ -49,7 +48,7 @@ from ..engine import (
     EngineConfig,
     EstimateRequest as EngineRequest,
     Executor,
-    PoolExecutor,
+    InlineExecutor,
     cost_priors,
 )
 from ..gpusim import get_device
@@ -146,8 +145,7 @@ class EstimationServer:
         has no cost prior for yet.
     executor:
         Engine execution strategy for full-path batches.  Default:
-        :class:`~repro.engine.PoolExecutor` honoring ``jobs`` /
-        ``REPRO_JOBS``.  Pass a started
+        :class:`~repro.engine.InlineExecutor`.  Pass a started
         :class:`~repro.engine.ShardedExecutor` for persistent
         multi-worker serving.
     """
@@ -159,7 +157,6 @@ class EstimationServer:
         batch_window_s: float = 0.01,
         deadline_margin: float = 2.0,
         initial_full_cost_s: float = 0.05,
-        jobs: int | None = None,
         executor: Executor | None = None,
     ) -> None:
         if max_batch <= 0:
@@ -169,7 +166,6 @@ class EstimationServer:
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
         self.deadline_margin = deadline_margin
-        self.jobs = jobs
         self._engine = Engine(
             EngineConfig(
                 check_plans=False,
@@ -178,9 +174,7 @@ class EstimationServer:
                 cat="serve",
                 observe_priors=True,
             ),
-            executor=(
-                executor if executor is not None else PoolExecutor(jobs=jobs)
-            ),
+            executor=executor if executor is not None else InlineExecutor(),
         )
         self._queue: deque[_Pending] = deque()
         self._cond = threading.Condition()

@@ -179,9 +179,9 @@ def run_workload(
 ) -> dict:
     """Run one workload on a fresh server; returns the report dict.
 
-    ``executor`` overrides the server's engine execution strategy —
-    e.g. a started :class:`~repro.engine.ShardedExecutor` for
-    multi-worker serving.  Estimates are deterministic, so the report's
+    ``executor`` overrides the server's engine execution strategy
+    (inline by default) — e.g. a started
+    :class:`~repro.engine.ShardedExecutor` for multi-worker serving.  Estimates are deterministic, so the report's
     answers are identical for every executor; only latencies move.
     """
     requests = generate_requests(spec)

@@ -9,7 +9,6 @@ from .core import (
     reset_store,
     shared_matrix,
     store_counters,
-    store_enabled,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "reset_store",
     "shared_matrix",
     "store_counters",
-    "store_enabled",
 ]

@@ -1,13 +1,12 @@
 """Fingerprint-addressed, memory-mapped graph/matrix store.
 
-Every executor beyond :class:`~repro.engine.InlineExecutor` used to pay a
-per-request serialization tax: the ``REPRO_JOBS`` pool pickled full
-matrices into worker queues, and every ``ShardedExecutor`` worker server
-materialized its own copy of every graph it was ever shipped.  The store
-removes that tax by writing each matrix's arrays **once** into a
-shared-memory segment (or an on-disk mmap file) addressed by its
-structural fingerprint; every consumer attaches a zero-copy NumPy view
-instead of receiving pickled bytes.
+Work shipped to :class:`~repro.engine.ShardedExecutor` worker servers
+would otherwise carry pickled matrices through the worker queues, and
+every worker would materialize its own copy of every graph it was ever
+shipped.  The store removes that tax by writing each matrix's arrays
+**once** into a shared-memory segment (or an on-disk mmap file)
+addressed by its structural fingerprint; every consumer attaches a
+zero-copy NumPy view instead of receiving pickled bytes.
 
 Addressing
 ----------
@@ -26,15 +25,15 @@ padding to 1024 | arrays``, each array 64-byte aligned.  The header
 repeats the fingerprint, dtypes, shapes, and offsets; an attach
 validates magic, fingerprint, and size before building views, so a
 corrupted or recycled segment raises :class:`StoreAttachError` instead
-of returning garbage — executors treat that error as "fall back to the
-pickled/inline path for this item".
+of returning garbage — executors treat that error as "re-evaluate this
+item in the parent, which still holds the matrix".
 
 Backends
 --------
 ``shm``
     ``multiprocessing.shared_memory`` segments (default).  Attaching
-    processes unregister from the resource tracker so a transient pool
-    worker's exit cannot unlink a segment the parent still serves.
+    processes unregister from the resource tracker so a worker's exit
+    cannot unlink a segment the parent still serves.
 ``mmap``
     Plain files under ``REPRO_STORE_DIR`` (default: a per-process
     directory in the system temp dir) mapped with ``mmap``.  Selected
@@ -48,8 +47,8 @@ their mappings open for as long as the process lives, so attached views
 never dangle.  :meth:`SharedGraphStore.shutdown` unlinks every segment
 name (subsequent attaches fail; existing views stay valid because the
 mapping is retained), and an ``atexit`` hook performs the same unlink so
-no segment outlives the run.  ``REPRO_NO_SHARED_STORE=1`` disables the
-store entirely — executors transparently revert to pickling matrices.
+no segment outlives the run.  A publish that fails (``StoreError``)
+degrades that one work unit to shipping its matrix itself.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import env_flag, env_str
+from ..config import env_str
 from ..formats import HybridMatrix
 from ..obs import trace_span
 from ..perf.fingerprint import matrix_fingerprint, register_fingerprint
@@ -86,14 +85,9 @@ class StoreAttachError(StoreError):
     """A consumer could not attach a published segment.
 
     Raised for missing segments (unlinked names), size mismatches, and
-    corrupted headers.  Executors catch exactly this type and fall back
-    to evaluating the item from its in-process (pickled) payload.
+    corrupted headers.  Executors catch exactly this type and re-evaluate
+    the item in the parent, whose copy still holds the matrix.
     """
-
-
-def store_enabled() -> bool:
-    """False when ``REPRO_NO_SHARED_STORE`` opts out (read per call)."""
-    return not env_flag("REPRO_NO_SHARED_STORE")
 
 
 def _resolve_backend() -> str:
@@ -147,8 +141,8 @@ def _unregister_shm(shm) -> None:
     """Drop a segment from the resource tracker.
 
     ``SharedMemory`` registers segments with the resource tracker even
-    when merely attaching (CPython gh-82300), so a short-lived pool
-    worker's exit could unlink a segment the publisher still serves.
+    when merely attaching (CPython gh-82300), so a shard worker's exit
+    could unlink a segment the publisher still serves.
     Only the publisher keeps its registration — its ``unlink()`` (the
     shutdown/atexit path) clears it, and it is the crash-recovery net
     until then.
@@ -307,11 +301,9 @@ class SharedGraphStore:
 
         The returned matrix's arrays are read-only views into the
         segment, so the publisher and every attached process reference
-        one physical copy.  Falls back to ``S`` itself when the store
-        is disabled or publication fails.
+        one physical copy.  Falls back to ``S`` itself when publication
+        fails.
         """
-        if not store_enabled():
-            return S
         try:
             handle = self.publish(S)
         except StoreError:
@@ -543,12 +535,9 @@ def reset_store() -> None:
 def shared_matrix(S: HybridMatrix) -> HybridMatrix:
     """Module-level convenience for :meth:`SharedGraphStore.shared_matrix`.
 
-    Returns ``S`` unchanged when the store is disabled
-    (``REPRO_NO_SHARED_STORE``) — the transparent-integration hook
-    :mod:`repro.graphs.registry` calls on every loaded dataset.
+    The transparent-integration hook :mod:`repro.graphs.registry` calls
+    on every loaded dataset.
     """
-    if not store_enabled():
-        return S
     return get_store().shared_matrix(S)
 
 

@@ -21,7 +21,6 @@ from .sweep import (
     WorldPoint,
     WorldSweepResult,
     default_k,
-    default_workers,
     run_world_sweep,
 )
 from .universe import (
@@ -52,7 +51,6 @@ __all__ = [
     "default_max_nodes",
     "default_samples",
     "default_seed",
-    "default_workers",
     "grid_universe",
     "kernel_ranking",
     "render_crossover_table",

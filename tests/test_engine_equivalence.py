@@ -145,8 +145,12 @@ def _deterministic_report_fields(report):
 
 
 @pytest.mark.serve
+@pytest.mark.store
 def test_serve_replay_identical_across_executors():
+    """Golden equivalence: sharding over the store changes topology and
+    transport, never the answers."""
     from repro.serve.workload import WorkloadSpec, run_workload
+    from repro.store import reset_store, store_counters
 
     spec = WorkloadSpec(
         name="equiv", num_requests=16, max_edges=20_000,
@@ -163,59 +167,17 @@ def test_serve_replay_identical_across_executors():
     reset_histograms()
     get_estimate_cache().clear()
     cost_priors().reset()
+    reset_store()
     with ShardedExecutor(workers=2) as executor:
         sharded_report = run_workload(spec, executor=executor)
+    assert store_counters()["bytes_shared"] > 0  # the store was in play
+    reset_store()
 
     assert _deterministic_report_fields(
         inline_report
     ) == _deterministic_report_fields(sharded_report)
     for resp in inline_report["responses"]:
         assert resp["status"] in ("ok", "degraded")
-
-
-@pytest.mark.serve
-@pytest.mark.store
-def test_store_backed_reports_byte_identical_to_pickle_backed(monkeypatch):
-    """Golden equivalence: the shared store changes transport, nothing else.
-
-    The same sharded workload runs once over store fingerprints and once
-    over the legacy pickle path (``REPRO_NO_SHARED_STORE=1``); the
-    deterministic report fields must be byte-identical and the
-    parent-side estimate-cache traffic (hit/miss deltas) must match
-    exactly.
-    """
-    from repro.serve.workload import WorkloadSpec, run_workload
-    from repro.store import reset_store, store_counters
-
-    spec = WorkloadSpec(
-        name="equiv-store", num_requests=16, max_edges=20_000,
-        graphs=("aifb",), forced_deadline_every=5,
-    )
-
-    def run(no_store: bool):
-        if no_store:
-            monkeypatch.setenv("REPRO_NO_SHARED_STORE", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_SHARED_STORE", raising=False)
-        METRICS.reset()
-        reset_histograms()
-        get_estimate_cache().clear()
-        cost_priors().reset()
-        with ShardedExecutor(workers=2) as executor:
-            report = run_workload(spec, executor=executor)
-        stats = get_estimate_cache().stats()
-        return report, (stats.hits, stats.misses)
-
-    reset_store()
-    store_report, store_cache = run(no_store=False)
-    assert store_counters()["bytes_shared"] > 0  # the store was in play
-    pickle_report, pickle_cache = run(no_store=True)
-
-    assert _deterministic_report_fields(
-        store_report
-    ) == _deterministic_report_fields(pickle_report)
-    assert store_cache == pickle_cache
-    reset_store()
 
 
 @pytest.mark.serve

@@ -150,6 +150,25 @@ def test_backward_through_chain():
     np.testing.assert_allclose(a.grad, 1.0)
 
 
+def test_backward_leaves_no_reference_cycle():
+    """The graph is freed by reference counting alone once dropped, so
+    peak memory never waits on the cyclic garbage collector."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        a = Tensor(np.full((3, 4), 2.0, np.float32), requires_grad=True)
+        w = Tensor(np.eye(4, dtype=np.float32), requires_grad=True)
+        out = relu(add(matmul(a, w), a))
+        out.backward(np.ones((3, 4), np.float32))
+        np.testing.assert_allclose(a.grad, 2.0)
+        del a, w, out
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_detach_blocks_gradient():
     a = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
     d = a.detach()

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.obs import METRICS, run_manifest, write_manifest
-from repro.obs.manifest import SCHEMA
+from repro.obs.manifest import SCHEMA, cpu_model
 
 pytestmark = pytest.mark.obs
 
@@ -34,6 +34,8 @@ def test_manifest_schema_keys(monkeypatch):
     assert "NOT_OURS" not in doc["env"]
     assert set(doc["versions"]) == {"python", "numpy", "scipy"}
     assert doc["platform"]["cpus"] == os.cpu_count()
+    assert doc["platform"]["cpu_model"] == cpu_model()
+    assert doc["platform"]["cpu_model"]  # never empty: "unknown" at worst
     assert "estimate_cache.hits" in doc["metrics"]
 
 
@@ -59,3 +61,19 @@ def test_write_report_emits_manifest_beside_report(tmp_path, monkeypatch):
     assert doc["experiment"] == "toy"
     assert doc["config"] == {"k": 8}
     assert doc["metrics"]["bench.reports"] == 1
+
+
+def test_cpu_model_falls_back_without_proc_cpuinfo(monkeypatch):
+    import builtins
+    import platform
+
+    real_open = builtins.open
+
+    def no_procfs(path, *args, **kwargs):
+        if path == "/proc/cpuinfo":
+            raise OSError("no procfs")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_procfs)
+    monkeypatch.setattr(platform, "processor", lambda: "")
+    assert cpu_model() == (platform.machine() or "unknown")

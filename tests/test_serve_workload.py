@@ -160,10 +160,11 @@ def test_cli_list_and_unknown_workload_exit_codes():
 
 def test_cli_smoke_writes_report_and_manifest(tmp_path):
     proc = _run_cli(
-        ["--workload", "smoke", "--requests", "12"],
+        ["--workload", "smoke", "--requests", "12", "--workers", "1"],
         REPRO_RESULTS_DIR=str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
+    assert "[sharded" not in proc.stderr  # one worker means inline
     report = json.loads((tmp_path / "serve_smoke.json").read_text())
     assert report["summary"]["requests"] == 12
     assert report["workload"]["num_requests"] == 12
@@ -175,6 +176,7 @@ def test_cli_smoke_writes_report_and_manifest(tmp_path):
     assert metrics["serve.request_latency.count"] == 12
     for stat in ("p50", "p95", "p99"):
         assert metrics[f"serve.request_latency.{stat}"] > 0
+    assert metrics.get("engine.shard_runs", 0) == 0
 
 
 def test_cli_serve_sigterm_right_after_readiness_shuts_down_cleanly(tmp_path):
@@ -186,7 +188,6 @@ def test_cli_serve_sigterm_right_after_readiness_shuts_down_cleanly(tmp_path):
         os.environ, PYTHONPATH="src", REPRO_STORE_BACKEND="mmap",
         REPRO_STORE_DIR=str(store_dir),
     )
-    env.pop("REPRO_NO_SHARED_STORE", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--serve",
          "--host", "127.0.0.1", "--port", "0", "--warm", "smoke"],

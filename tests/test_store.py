@@ -25,7 +25,6 @@ from repro.store import (
     get_store,
     reset_store,
     store_counters,
-    store_enabled,
 )
 
 from tests.conftest import random_hybrid
@@ -35,7 +34,6 @@ pytestmark = pytest.mark.store
 
 @pytest.fixture(autouse=True)
 def fresh_store(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SHARED_STORE", raising=False)
     monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     reset_store()
@@ -118,7 +116,6 @@ def test_shared_matrix_is_segment_backed_and_equal():
 def test_registry_graphs_come_back_store_backed():
     from repro.graphs import load_graph
 
-    assert store_enabled()
     before = get_store().counters()["segments"]
     # A max_edges value no other test uses, so the registry's lru_cache
     # cannot serve a matrix loaded before this store existed.
@@ -279,15 +276,20 @@ def _spmm_requests():
     ]
 
 
-def test_store_disabled_env_reverts_to_pickle_path(monkeypatch):
+def test_inline_dispatch_never_touches_store():
+    """Only executors that ship work publish: an inline batch leaves the
+    store alone, while the same batch sharded publishes its matrix."""
     reqs = _spmm_requests()
-    inline = Engine().estimate_batch(reqs)
-    monkeypatch.setenv("REPRO_NO_SHARED_STORE", "1")
-    assert not store_enabled()
+    Engine().estimate_batch(reqs)  # registry load (and its publish) first
     before = store_counters()
+    inline = Engine().estimate_batch(reqs)
+    assert store_counters() == before  # no store traffic at all
     with ShardedExecutor(workers=2) as executor:
         sharded = Engine(executor=executor).estimate_batch(reqs)
-    assert store_counters() == before  # no store traffic at all
+    after = store_counters()
+    assert after["publishes"] + after["publish_hits"] > (
+        before["publishes"] + before["publish_hits"]
+    )
     assert [
         (r.status, r.time_s, r.gflops, r.bound) for r in inline
     ] == [

@@ -266,6 +266,15 @@ def test_sweep_report_schema_and_determinism(monkeypatch, tmp_path):
     assert METRICS.get("world.reports") == 1
 
 
+def test_sweep_identical_inline_and_sharded():
+    configs = sample_universe(3, seed=1, max_nodes=320)
+    inline = build_report(run_world_sweep(configs, kernels=KERNELS))
+    sharded = run_world_sweep(configs, kernels=KERNELS, workers=2)
+    assert sharded.workers == 2
+    dump = lambda r: json.dumps(r, sort_keys=True)  # noqa: E731
+    assert dump(build_report(sharded)) == dump(inline)
+
+
 def test_render_tables_cover_every_kernel_and_region():
     configs = sample_universe(4, seed=0, max_nodes=320)
     report = build_report(run_world_sweep(configs, kernels=KERNELS))
@@ -310,7 +319,6 @@ def test_world_env_vars_declared():
         "REPRO_WORLD_SEED",
         "REPRO_WORLD_MAX_NODES",
         "REPRO_WORLD_K",
-        "REPRO_WORLD_WORKERS",
     ):
         assert declared(name), name
         assert ENV_VARS[name].subsystem == "world"
