@@ -46,13 +46,11 @@ def run_fig12(
     num_nodes: int = 20_000,
     mean_degree: float = 23.0,
     seed: int = 7,
-    workers: int | None = None,
 ) -> Fig12Result:
     """Run the degree-variance sensitivity experiment.
 
-    ``workers`` (default: ``REPRO_JOBS``) picks the executor that both
-    builds the suite graphs and prices them; results are identical
-    either way.
+    One executor (``REPRO_JOBS`` picks it) both builds the suite graphs
+    and prices them; results are identical for every worker count.
     """
     specs = variance_suite_specs(
         num_graphs=num_graphs,
@@ -66,7 +64,7 @@ def run_fig12(
         for name in names
         for kernel in ("hp-spmm", "ge-spmm")
     ]
-    with make_executor(workers) as executor:
+    with make_executor() as executor:
         graphs = executor.map(variance_graph, specs)
         batch = Engine(executor=executor).estimate_batch(
             requests, matrices=dict(zip(names, graphs))

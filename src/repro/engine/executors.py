@@ -19,7 +19,8 @@ worker count once (an explicit ``workers`` argument, else
   results return in item order; worker spans are shipped back and
   spliced onto the parent trace; a worker exception is re-raised in the
   parent (lowest item index first, for determinism); a worker that dies
-  outright stops the executor and raises instead of hanging.
+  holding unanswered items stops the executor and raises instead of
+  hanging.
 
 This module is the only place in the package that creates processes.
 """
@@ -30,6 +31,7 @@ import multiprocessing
 import os
 import pickle
 import queue
+import threading
 from typing import Callable, Protocol, Sequence
 
 from ..config import env_str
@@ -87,6 +89,7 @@ class InlineExecutor:
     """
 
     ships_work = False
+    workers = 1
 
     def map(self, fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
@@ -99,19 +102,19 @@ class InlineExecutor:
 
 
 def make_executor(
-    workers: int | None = None, *, affinity=None
+    workers: int | None = None,
 ) -> "InlineExecutor | ShardedExecutor":
     """The executor for ``workers`` (default: ``REPRO_JOBS``).
 
     Fewer than 2 workers runs inline; otherwise a
-    :class:`ShardedExecutor` of that width (``affinity`` is passed on
-    and ignored inline).  Use the result as a context manager so
-    sharded workers are stopped when the caller is done.
+    :class:`ShardedExecutor` of that width.  Either way the result's
+    ``workers`` attribute is the resolved count.  Use it as a context
+    manager so sharded workers are stopped when the caller is done.
     """
     n = resolve_jobs() if workers is None else workers
     if n < 2:
         return InlineExecutor()
-    return ShardedExecutor(n, affinity=affinity)
+    return ShardedExecutor(n)
 
 
 def _shard_worker_loop(inbox, outbox) -> None:
@@ -176,14 +179,20 @@ class ShardedExecutor:
     :meth:`stop` (or context-manager exit).  In sandboxes that forbid
     process/queue creation, ``map`` falls back to the inline loop and
     counts ``engine.shard_fallbacks`` — results are identical either
-    way.  A worker that dies mid-batch (killed, or ``fn`` exiting the
-    process) stops the executor and raises :class:`RuntimeError`; the
-    next ``map`` starts fresh workers.
+    way.
+
+    A worker that dies while it holds unanswered items (killed, or
+    ``fn`` exiting the process) stops the executor and raises
+    :class:`RuntimeError`; one that dies after answering everything it
+    was given fails nothing.  The next ``map`` starts fresh workers, but
+    only on the thread that started the lost ones: re-forking from any
+    other thread (a serving process's batching thread, say) would fork
+    a process that already runs threads, so that ``map`` raises instead.
 
     ``affinity`` pins items to shards: a callable taking one work item
     and returning a shard key (any int — reduced modulo the pool size)
     or ``None`` to fall back to round-robin for that item.  The serve
-    tier passes :meth:`repro.serve.ShardRouter.shard_of_unit` so every
+    tier sets :meth:`repro.serve.ShardRouter.shard_of_unit` so every
     batch touching a graph lands on the worker that owns that graph's
     estimate cache and cost priors.  Determinism is unaffected: the
     executor only places work; results return in item order regardless.
@@ -194,12 +203,15 @@ class ShardedExecutor:
     def __init__(self, workers: int, *, affinity=None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._workers = workers
-        self._affinity = affinity
+        self.workers = workers
+        self.affinity = affinity
         self._procs: list = []
         self._inboxes: list = []
         self._outbox = None
         self._seq = 0
+        #: Thread that last started the workers, and what killed them.
+        self._owner: int | None = None
+        self._lost: str | None = None
         #: fn -> pickle-probe verdict, held for the executor's lifetime.
         self._probe_ok: dict = {}
         #: worker pid -> items evaluated there (tests assert sharding).
@@ -218,7 +230,7 @@ class ShardedExecutor:
         """Fork the worker servers (idempotent)."""
         if self._procs:
             return
-        n = self._workers
+        n = self.workers
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
         else:
@@ -236,6 +248,8 @@ class ShardedExecutor:
         self._outbox = outbox
         self._inboxes = inboxes
         self._procs = procs
+        self._owner = threading.get_ident()
+        self._lost = None
 
     def stop(self) -> None:
         """Shut the worker servers down (idempotent)."""
@@ -267,38 +281,62 @@ class ShardedExecutor:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _next_reply(self) -> tuple:
-        """The next worker reply; raises if a worker died waiting for it.
+    def _note_death(self, proc) -> None:
+        self._lost = (
+            f"shard worker pid {proc.pid} died with exit code {proc.exitcode}"
+        )
 
-        A dead worker never answers, so a blocking ``get`` would hang
-        forever.  The executor is stopped before raising (its queues may
-        be wedged by the dead writer) and the error is not retried
-        inline: whatever killed the worker could kill the parent too.
+    def _next_reply(self, outstanding: list) -> tuple:
+        """The next worker reply; raises if a worker died owing one.
+
+        ``outstanding[i]`` counts the items worker ``i`` has not yet
+        answered.  A dead worker never answers, so a blocking ``get``
+        would hang forever.  The executor is stopped before raising (its
+        queues may be wedged by the dead writer) and the error is not
+        retried inline: whatever killed the worker could kill the parent
+        too.
         """
         while True:
             try:
                 return self._outbox.get(timeout=_REPLY_POLL_S)
             except queue.Empty:
                 pass
-            dead = [p for p in self._procs if p.exitcode is not None]
+            dead = [
+                proc
+                for proc, owed in zip(self._procs, outstanding)
+                if owed and proc.exitcode is not None
+            ]
             if dead:
+                self._note_death(dead[0])
                 # The survivors' queued items are abandoned, so there is
                 # nothing to drain: terminate rather than wait for them.
                 for proc in self._procs:
                     if proc.is_alive():
                         proc.terminate()
                 self.stop()
-                raise RuntimeError(
-                    f"shard worker pid {dead[0].pid} died with exit code "
-                    f"{dead[0].exitcode}; executor stopped"
-                )
+                raise RuntimeError(f"{self._lost}; executor stopped")
 
     # -- execution ------------------------------------------------------
     def map(self, fn: Callable, items: Sequence) -> list:
         seq_items = list(items)
         if not seq_items:
             return []
+        for proc in self._procs:
+            if proc.exitcode is not None:
+                # Died after answering its last batch: restart rather
+                # than queue items it will never answer.
+                self._note_death(proc)
+                self.stop()
+                break
         if not self._procs:
+            if (
+                self._lost is not None
+                and threading.get_ident() != self._owner
+            ):
+                raise RuntimeError(
+                    f"{self._lost}; not re-forking shard workers from a "
+                    "thread other than the one that started them"
+                )
             try:
                 self.start()
             except _SPAWN_FAILURES:
@@ -325,6 +363,8 @@ class ShardedExecutor:
         tracer = get_tracer()
         t0_ns = tracer.t0_ns if tracer is not None else None
         n = len(self._inboxes)
+        index_of = {proc.pid: i for i, proc in enumerate(self._procs)}
+        outstanding = [0] * n
         base = self._seq
         self._seq += len(seq_items)
         with trace_span(
@@ -337,9 +377,9 @@ class ShardedExecutor:
             # still spreads unpinned work across the worker pool.
             for i, item in enumerate(seq_items):
                 target = None
-                if self._affinity is not None:
+                if self.affinity is not None:
                     try:
-                        key = self._affinity(item)
+                        key = self.affinity(item)
                     except Exception:
                         key = None
                         METRICS.inc("engine.shard_affinity_errors")
@@ -349,9 +389,13 @@ class ShardedExecutor:
                 if target is None:
                     target = (base + i) % n
                 self._inboxes[target].put((base + i, fn, item, t0_ns))
+                outstanding[target] += 1
             replies: dict[int, tuple] = {}
             for _ in seq_items:
-                seq, status, payload, spans, pid, delta = self._next_reply()
+                seq, status, payload, spans, pid, delta = self._next_reply(
+                    outstanding
+                )
+                outstanding[index_of[pid]] -= 1
                 replies[seq] = (status, payload)
                 self.dispatch_counts[pid] = (
                     self.dispatch_counts.get(pid, 0) + 1

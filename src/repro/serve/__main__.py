@@ -253,14 +253,14 @@ def _serve_mode(args) -> int:
             return 2
         warm_spec = WORKLOADS[args.warm]
 
-    from ..engine import make_executor, resolve_jobs
+    from ..engine import make_executor
     from .router import ShardRouter
 
-    workers = resolve_jobs() if args.workers is None else args.workers
-    router = ShardRouter(workers) if workers >= 2 else None
-    executor = make_executor(
-        workers, affinity=router.shard_of_unit if router else None
-    )
+    executor = make_executor(args.workers)
+    router = None
+    if executor.ships_work:
+        router = ShardRouter(executor.workers)
+        executor.affinity = router.shard_of_unit
 
     server_kwargs: dict = {}
     if warm_spec is not None:

@@ -24,7 +24,6 @@ from ..engine import (
     EstimateRequest,
     make_executor,
     make_kernel,
-    resolve_jobs,
     valid_kernels,
 )
 from ..gpusim import DeviceSpec, get_device
@@ -132,7 +131,6 @@ def run_world_sweep(
     every config; returns per-config winners plus crossover-map rows.
     """
     k = default_k() if k is None else k
-    workers = resolve_jobs() if workers is None else workers
     device_spec = get_device(device) if isinstance(device, str) else device
     skipped: dict[str, str] = {}
     if kernels:
@@ -164,6 +162,7 @@ def run_world_sweep(
             span="world.estimate", cat="world",
         )
         with make_executor(workers) as executor:
+            workers = executor.workers
             batch = Engine(config, executor=executor).estimate_batch(
                 requests, matrices=matrices
             )

@@ -5,6 +5,7 @@ import ast
 import json
 import os
 import sys
+import threading
 import time
 
 import pytest
@@ -53,8 +54,10 @@ def test_make_executor_rule(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert isinstance(make_executor(1), InlineExecutor)
     assert isinstance(make_executor(0), InlineExecutor)
+    assert make_executor(1).workers == 1
     sharded = make_executor()
     assert isinstance(sharded, ShardedExecutor)
+    assert sharded.workers == 3
     assert not sharded.started  # workers start lazily
     with make_executor(2) as executor:
         assert executor.worker_count == 2
@@ -129,6 +132,53 @@ def test_dead_shard_worker_raises_and_next_map_restarts():
         assert not executor.started  # stopped, not left half-broken
         assert executor.map(_exit_on_marker, [1, 2, 3]) == [2, 4, 6]
         assert executor.worker_count == 2
+
+
+def _answer_then_exit(x):
+    """Answer, then (in a worker) exit shortly after; or answer slowly."""
+    if x == "exit-after":
+        threading.Timer(0.1, os._exit, args=(9,)).start()
+        return "answered"
+    time.sleep(0.8)  # outlasts one reply poll after the other's exit
+    return x
+
+
+def test_worker_dying_after_answering_fails_nothing():
+    """Only a worker that still owes replies fails the batch."""
+    with ShardedExecutor(2) as executor:
+        # Round-robin: item 0 on worker 0 (answers, then exits while
+        # worker 1 is still busy), item 1 on worker 1.
+        assert executor.map(_answer_then_exit, ["exit-after", 7]) == [
+            "answered", 7,
+        ]
+        time.sleep(0.3)
+        # The next batch replaces the dead worker instead of queueing
+        # items it would never answer.
+        assert executor.map(_exit_on_marker, [1, 2]) == [2, 4]
+        assert executor.worker_count == 2
+
+
+def test_restart_after_death_refused_off_the_starting_thread():
+    """Re-forking from another thread would fork a threaded process."""
+    with ShardedExecutor(2) as executor:
+        with pytest.raises(RuntimeError, match="died with exit code 9"):
+            executor.map(_exit_on_marker, ["die", 1])
+        errors: list = []
+
+        def off_thread():
+            try:
+                executor.map(_exit_on_marker, [1, 2])
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=off_thread)
+        thread.start()
+        thread.join()
+        assert len(errors) == 1
+        assert "not re-forking" in str(errors[0])
+        assert not executor.started
+        # The thread that started the lost workers may restart them.
+        assert executor.map(_exit_on_marker, [1, 2]) == [2, 4]
 
 
 def test_plan_check_error_propagates_from_parallel_sweep(monkeypatch):
@@ -222,13 +272,18 @@ def test_sweep_respects_repro_jobs_env(monkeypatch):
     assert [r.time_s for r in serial.runs] == [r.time_s for r in parallel.runs]
 
 
-def test_fig12_parallel_matches_serial():
+def test_fig12_parallel_matches_serial(monkeypatch):
     from repro.bench.fig12 import run_fig12
+    from repro.obs import METRICS
 
     kwargs = dict(num_graphs=3, num_nodes=1500)
     serial = run_fig12(**kwargs)
+    monkeypatch.setenv("REPRO_JOBS", "2")
     get_estimate_cache().clear()
-    parallel = run_fig12(workers=2, **kwargs)
+    runs_before = METRICS.get("engine.shard_runs")
+    parallel = run_fig12(**kwargs)
+    assert METRICS.get("engine.shard_runs") > runs_before
+    assert serial == parallel  # every series compared as exact floats
     assert serial.render() == parallel.render()
 
 
