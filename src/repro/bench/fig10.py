@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import env_int
+from ..formats import HybridMatrix
 from ..gpusim import DeviceSpec, TESLA_V100
 from ..graphs import build_sampling_dataset, load_graph
 from .runner import (
@@ -74,6 +75,21 @@ class Fig10Result:
         )
 
 
+def sample_subgraphs(
+    *,
+    parents: tuple[str, ...] = DEFAULT_PARENTS,
+    num_subgraphs: int | None = None,
+    max_edges: int | None = None,
+    seed: int = 0,
+) -> list[tuple[str, HybridMatrix]]:
+    """The seeded ``(name, matrix)`` sampling dataset Fig. 10 sweeps."""
+    total = num_subgraphs or default_subgraph_count()
+    per_parent = max(1, total // len(parents))
+    datasets = [load_graph(p, max_edges=max_edges) for p in parents]
+    subs = build_sampling_dataset(datasets, per_parent=per_parent, seed=seed)
+    return [(f"{s.sampler}-{i}", s.matrix) for i, s in enumerate(subs)]
+
+
 def run_fig10(
     *,
     k: int = 64,
@@ -82,15 +98,22 @@ def run_fig10(
     num_subgraphs: int | None = None,
     max_edges: int | None = None,
     seed: int = 0,
+    subgraphs: list[tuple[str, HybridMatrix]] | None = None,
 ) -> Fig10Result:
-    """Run the Fig. 10 experiment."""
-    total = num_subgraphs or default_subgraph_count()
-    per_parent = max(1, total // len(parents))
-    datasets = [load_graph(p, max_edges=max_edges) for p in parents]
-    subs = build_sampling_dataset(datasets, per_parent=per_parent, seed=seed)
-    named = [
-        (f"{s.sampler}-{i}", s.matrix) for i, s in enumerate(subs)
-    ]
+    """Run the Fig. 10 experiment.
+
+    ``subgraphs`` is a dataset from :func:`sample_subgraphs`; callers
+    sweeping several devices sample once and pass it to each run (the
+    sampling arguments are then ignored).
+    """
+    named = subgraphs
+    if named is None:
+        named = sample_subgraphs(
+            parents=parents,
+            num_subgraphs=num_subgraphs,
+            max_edges=max_edges,
+            seed=seed,
+        )
     spmm = sweep_spmm(named, ("hp-spmm",) + SPMM_BASELINES, k=k, device=device)
     sddmm = sweep_sddmm(
         named, ("hp-sddmm",) + SDDMM_BASELINES, k=k, device=device

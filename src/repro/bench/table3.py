@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..gpusim import TESLA_A30, TESLA_V100
 from .fig9 import run_fig9
-from .fig10 import run_fig10
+from .fig10 import run_fig10, sample_subgraphs
 from .runner import SDDMM_BASELINES, SPMM_BASELINES
 from .tables import render_table
 
@@ -87,15 +87,12 @@ def run_table3(
     """Run the Table III aggregation (the heaviest experiment)."""
     device_map = {"v100": TESLA_V100, "a30": TESLA_A30}
     rows: list[list] = []
+    # One seeded sampling dataset serves every device's Fig. 10 sweep.
+    subgraphs = sample_subgraphs(max_edges=max_edges, num_subgraphs=num_subgraphs)
     for dev_name in devices:
         device = device_map[dev_name]
         fig9 = run_fig9(k=k, device=device, max_edges=max_edges)
-        fig10 = run_fig10(
-            k=k,
-            device=device,
-            max_edges=max_edges,
-            num_subgraphs=num_subgraphs,
-        )
+        fig10 = run_fig10(k=k, device=device, subgraphs=subgraphs)
         for dataset, sweep_pair in (("full", fig9), ("samp", fig10)):
             for baseline in SPMM_BASELINES:
                 avg, pct = sweep_pair.spmm.summary_vs("hp-spmm", baseline)

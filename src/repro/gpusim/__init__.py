@@ -12,6 +12,7 @@ from .cache import (
     CacheStats,
     FootprintCacheModel,
     LRUCache,
+    ReuseProfile,
     previous_positions,
     reuse_times,
     sampled_footprint,
@@ -46,6 +47,7 @@ __all__ = [
     "CacheStats",
     "FootprintCacheModel",
     "LRUCache",
+    "ReuseProfile",
     "previous_positions",
     "reuse_times",
     "sampled_footprint",

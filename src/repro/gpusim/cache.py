@@ -7,7 +7,9 @@ Two models are provided:
   footprint function (Denning working-set theory: an access whose reuse
   window touches a footprint larger than the cache is a miss).  This is
   the model used by kernel cost models; it is what makes Graph Clustering
-  based Reordering show up as fewer DRAM transactions.
+  based Reordering show up as fewer DRAM transactions.  It answers from
+  a :class:`ReuseProfile`, the stream's capacity-independent summary, so
+  repeated queries on one stream sort and sample it once.
 
 * :class:`LRUCache` — an exact set-associative LRU simulator used by the
   test-suite to validate the analytic estimator on small streams.
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs import METRICS
 from ..sortops import previous_positions, sorted_unique
 
 # previous_positions is the shared substrate of reuse_times (i - prev[i])
@@ -108,6 +111,79 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
+class ReuseProfile:
+    """Capacity-independent reuse summary of one access stream.
+
+    :class:`FootprintCacheModel` answers every capacity from three
+    things that do not depend on it: the distinct-item count, the number
+    of reused accesses whose reuse time is at most each window size, and
+    the sampled footprint curve at those sizes.  A profile keeps exactly
+    those, so one stream is sorted and sampled once however many
+    (K, device, capacity) queries ask about it.
+
+    It is filled lazily.  The distinct count (one value sort) comes
+    first and answers every capacity that holds all items.  The
+    packed-key sort, the reuse-time histogram and the footprint curve
+    wait for the first capacity below it; the curve is kept per
+    ``(seed, samples_per_size)``.  The profile holds O(window sizes)
+    numbers and no per-access array, so every query passes the stream
+    it was built from again.
+    """
+
+    #: Log-spaced window sizes used for footprint sampling.
+    NUM_WINDOW_SIZES = 24
+
+    def __init__(self) -> None:
+        self.distinct: int | None = None
+        #: ``(sizes, hits_within)``: reused accesses with reuse time
+        #: ``<= sizes[j]``, filled with the first footprint curve.
+        self._reuse: tuple[np.ndarray, np.ndarray] | None = None
+        self._footprints: dict[tuple[int, int], np.ndarray] = {}
+
+    def hits(
+        self,
+        stream: np.ndarray,
+        capacity_items: float,
+        *,
+        seed: int = 0,
+        samples_per_size: int = 48,
+    ) -> int:
+        """Modelled hits of ``stream`` in ``capacity_items`` items of cache.
+
+        An access with reuse time ``t`` hits iff ``t`` is at most the
+        largest window size whose footprint fits in the capacity.
+        """
+        n = stream.size
+        if self.distinct is None:
+            self.distinct = int(sorted_unique(stream).size)
+            METRICS.inc("gpusim.reuse_profile.builds")
+        if capacity_items >= self.distinct:
+            # Everything fits: every non-cold access hits.
+            return n - self.distinct
+        fp = self._footprints.get((seed, samples_per_size))
+        if fp is None:
+            METRICS.inc("gpusim.reuse_profile.detail_builds")
+            prev = previous_positions(stream)
+            if self._reuse is None:
+                sizes = sorted_unique(
+                    np.geomspace(1, n, num=self.NUM_WINDOW_SIZES).astype(np.int64)
+                )
+                reused = np.flatnonzero(prev >= 0)
+                within = np.cumsum(np.bincount(reused - prev[reused], minlength=n))
+                self._reuse = (sizes, within[np.minimum(sizes, n - 1)])
+            fp = sampled_footprint(
+                stream,
+                self._reuse[0],
+                samples_per_size=samples_per_size,
+                seed=seed,
+                prev=prev,
+            )
+            self._footprints[(seed, samples_per_size)] = fp
+        # Largest reuse time whose footprint still fits in the cache.
+        fits = np.flatnonzero(fp <= capacity_items)
+        return int(self._reuse[1][fits[-1]]) if fits.size else 0
+
+
 class FootprintCacheModel:
     """Analytic LRU hit-rate estimator for a single access stream.
 
@@ -115,11 +191,10 @@ class FootprintCacheModel:
     ``t``-access window fits in the effective capacity.  The effective
     capacity is the cache size divided by ``concurrency``, modelling the
     interleaving of many concurrent warps' streams (each warp sees only a
-    fraction of the cache).
+    fraction of the cache).  The answer comes from the stream's
+    :class:`ReuseProfile`; callers that query one stream repeatedly pass
+    the same profile each time.
     """
-
-    #: Log-spaced window sizes used for footprint sampling.
-    NUM_WINDOW_SIZES = 24
 
     def __init__(
         self,
@@ -147,38 +222,26 @@ class FootprintCacheModel:
         """Items that fit in the effective (concurrency-shared) capacity."""
         return self.capacity_bytes / self.concurrency / self.bytes_per_item
 
-    def run(self, stream: np.ndarray) -> CacheStats:
-        """Estimate hits for ``stream`` (array of item ids, access order)."""
+    def run(
+        self, stream: np.ndarray, profile: ReuseProfile | None = None
+    ) -> CacheStats:
+        """Estimate hits for ``stream`` (array of item ids, access order).
+
+        ``profile`` must have been built from this same stream; without
+        one a fresh profile is used and dropped.
+        """
         stream = np.asarray(stream)
-        n = stream.size
-        if n == 0:
+        if stream.size == 0:
             return CacheStats(accesses=0, hits=0)
-        prev = previous_positions(stream)
-        t = np.where(prev >= 0, np.arange(n, dtype=np.int64) - prev, -1)
-        cap = self.capacity_items
-        # Distinct items == first-ever accesses (prev < 0).
-        if cap >= int(np.count_nonzero(prev < 0)):
-            # Everything fits: every non-cold access hits.
-            hits = int(np.count_nonzero(t >= 0))
-            return CacheStats(accesses=n, hits=hits)
-        sizes = sorted_unique(
-            np.geomspace(1, n, num=self.NUM_WINDOW_SIZES).astype(np.int64)
-        )
-        fp = sampled_footprint(
+        if profile is None:
+            profile = ReuseProfile()
+        hits = profile.hits(
             stream,
-            sizes,
-            samples_per_size=self.samples_per_size,
+            self.capacity_items,
             seed=self.seed,
-            prev=prev,
+            samples_per_size=self.samples_per_size,
         )
-        # Largest reuse time whose footprint still fits in the cache.
-        fits = fp <= cap
-        if not fits.any():
-            threshold = 0
-        else:
-            threshold = int(sizes[np.nonzero(fits)[0][-1]])
-        hits = int(np.count_nonzero((t >= 0) & (t <= threshold)))
-        return CacheStats(accesses=n, hits=hits)
+        return CacheStats(accesses=stream.size, hits=hits)
 
     def hit_rate(self, stream: np.ndarray) -> float:
         """Convenience wrapper returning just the hit fraction."""

@@ -94,7 +94,6 @@ class ASpTSpMM(SpMMKernel):
         sparse_part_sectors = sparse_nnz * row_sectors
         hit = estimate_hit_rate(
             S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps,
         )
         l2_a, dram_a = split_by_hit_rate(
             dense_part_sectors + sparse_part_sectors, hit

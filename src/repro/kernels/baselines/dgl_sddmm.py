@@ -64,11 +64,11 @@ class DGLSDDMM(SDDMMKernel):
         # column stream, A1 via the row stream (re-read per edge!).
         hit_col = estimate_hit_rate(
             S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps, seed=1,
+            seed=1,
         )
         hit_row = estimate_hit_rate(
             S.row, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps, seed=2,
+            seed=2,
         )
         # No A1 register reuse and no vectorization: the operand gathers
         # carry a mild redundancy factor versus HP-SDDMM's tiled loads.

@@ -81,7 +81,6 @@ class MergePathSpMM(SpMMKernel):
         dense_sectors = slice_nnz * dense_sectors_per_nnz
         hit = estimate_hit_rate(
             S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=starts.size,
         )
         dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit)
         write_sectors = segments * (feats * 4 / sector)

@@ -105,7 +105,6 @@ def build_node_parallel_workload(
             S.col,
             bytes_per_item=k * 4.0,
             device=device,
-            concurrent_warps=m * groups,
         )
     dense_sectors = degrees * dense_sectors_per_nnz
     dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit_rate)

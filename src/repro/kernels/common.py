@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..formats import HybridMatrix
-from ..gpusim import DeviceSpec, FootprintCacheModel
+from ..gpusim import DeviceSpec, FootprintCacheModel, ReuseProfile
+from ..obs import METRICS
+from ..perf.fingerprint import array_fingerprint
 
 
 def warp_slice_starts(nnz: int, nnz_per_warp: int) -> np.ndarray:
@@ -75,19 +77,11 @@ def row_segments_per_slice(row: np.ndarray, starts: np.ndarray, nnz_per_warp: in
 #: polluted by the streaming sparse arrays and the output write traffic.
 L2_EFFECTIVE_FRACTION = 0.5
 
-#: Memo for hit-rate estimates: the footprint sampling is the expensive
-#: part of a cost-model evaluation and identical across kernels that scan
-#: the same matrix, so the cache pays off heavily in benchmark sweeps.
-_HIT_RATE_CACHE: dict = {}
-_HIT_RATE_CACHE_MAX = 512
-
-
-def _stream_fingerprint(stream: np.ndarray) -> tuple:
-    """Cheap, content-sensitive fingerprint of an access stream."""
-    step = max(1, stream.size // 64)
-    sample = np.ascontiguousarray(stream[::step][:65])
-    head = int(stream[: min(4096, stream.size)].sum())
-    return (stream.size, sample.tobytes(), head)
+#: Reuse profiles by full-content stream digest.  Kernels that scan the
+#: same matrix share one profile across every K, device and seed; each
+#: holds a few dozen numbers, so the bound only caps the entry count.
+_PROFILES: dict[str, ReuseProfile] = {}
+_PROFILES_MAX = 512
 
 
 def estimate_hit_rate(
@@ -95,40 +89,33 @@ def estimate_hit_rate(
     bytes_per_item: float,
     device: DeviceSpec,
     *,
-    concurrent_warps: int = 0,
     seed: int = 0,
 ) -> float:
     """L2 hit rate for a stream of dense-matrix row accesses.
 
     All concurrent warps read the *same* operand matrix, so their
     interleaved streams share reuse; the access stream in nonzero order is
-    therefore a faithful proxy regardless of warp count
-    (``concurrent_warps`` is accepted for interface stability but does not
-    change the estimate).  A fixed :data:`L2_EFFECTIVE_FRACTION` accounts
-    for cache pollution by sparse-array streaming and output writes.
+    therefore a faithful proxy regardless of warp count.  A fixed
+    :data:`L2_EFFECTIVE_FRACTION` accounts for cache pollution by
+    sparse-array streaming and output writes.
     """
-    del concurrent_warps  # see docstring
     stream = np.asarray(col_stream)
     if stream.size == 0:
         return 0.0
-    key = (
-        _stream_fingerprint(stream),
-        float(bytes_per_item),
-        device.l2_cache_bytes,
-        seed,
-    )
-    if key in _HIT_RATE_CACHE:
-        return _HIT_RATE_CACHE[key]
+    key = array_fingerprint(stream)
+    profile = _PROFILES.get(key)
+    if profile is None:
+        if len(_PROFILES) >= _PROFILES_MAX:
+            _PROFILES.clear()
+        profile = _PROFILES[key] = ReuseProfile()
+    else:
+        METRICS.inc("gpusim.reuse_profile.hits")
     model = FootprintCacheModel(
         capacity_bytes=int(device.l2_cache_bytes * L2_EFFECTIVE_FRACTION),
         bytes_per_item=bytes_per_item,
         seed=seed,
     )
-    rate = model.hit_rate(stream)
-    if len(_HIT_RATE_CACHE) >= _HIT_RATE_CACHE_MAX:
-        _HIT_RATE_CACHE.clear()
-    _HIT_RATE_CACHE[key] = rate
-    return rate
+    return model.run(stream, profile).hit_rate
 
 
 def split_by_hit_rate(

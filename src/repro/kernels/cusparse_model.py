@@ -82,7 +82,6 @@ def _balanced_csr_workload(
     dense_sectors = slice_nnz * dense_sectors_per_nnz
     hit = estimate_hit_rate(
         S.col, bytes_per_item=k * 4.0, device=device,
-        concurrent_warps=starts.size,
     )
     dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit)
     write_sectors = segments * (feats * 4 / sector)
@@ -242,7 +241,6 @@ class CusparseCooAlg4(SpMMKernel):
         dense_sectors = slice_nnz * (feats * 4 / sector)
         hit = estimate_hit_rate(
             S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=num_warps,
         )
         dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit)
 

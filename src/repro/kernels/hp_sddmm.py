@@ -111,7 +111,6 @@ def _hp_sddmm_workload(
     if hit_rate is None:
         hit_rate = estimate_hit_rate(
             S.col, bytes_per_item=k * 4.0, device=device,
-            concurrent_warps=part.num_warps,
         )
     a2_l2, a2_dram = split_by_hit_rate(a2_sectors, hit_rate)
     a1_sectors = segments * row_sectors

@@ -111,7 +111,6 @@ def _hp_spmm_workload(
             S.col,
             bytes_per_item=k * 4.0,
             device=device,
-            concurrent_warps=part.num_warps,
         )
     dense_l2, dense_dram = split_by_hit_rate(dense_sectors, hit_rate)
 

@@ -20,6 +20,9 @@ Counter names are dotted, ``subsystem.event``:
   accrual (see :mod:`repro.gnn.timing`);
 * ``gpusim.trace_replays`` / ``gpusim.profile_reports`` — validation
   tooling usage;
+* ``gpusim.reuse_profile.builds`` / ``.detail_builds`` / ``.hits`` — L2
+  reuse profiles built, their sort + footprint passes, and memo hits
+  (see :class:`repro.gpusim.cache.ReuseProfile`);
 * ``serve.*`` — estimation-serving layer accounting (requests, batches,
   coalescing, degraded/timeout responses, ``serve.worker_crashes``;
   see :mod:`repro.serve`), plus the socket front end's connection and

@@ -35,8 +35,29 @@ def _hash_arrays(*arrays: np.ndarray) -> str:
         a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a)  # hashes the buffer in place; tobytes() would copy it
     return h.hexdigest()
+
+
+def _memo_get(memo: dict, obj):
+    """Fingerprint memoized for the live object ``obj``, else ``None``."""
+    entry = memo.get(id(obj))
+    if entry is not None and entry[0]() is obj:
+        return entry[1]
+    return None
+
+
+def _memo_put(memo: dict, limit: int, obj, fp: str) -> None:
+    """Remember ``fp`` for ``obj``, pruning dead entries at ``limit``."""
+    if len(memo) >= limit:
+        for k in [k for k, (r, _) in memo.items() if r() is None]:
+            del memo[k]
+        if len(memo) >= limit:
+            memo.clear()
+    try:
+        memo[id(obj)] = (weakref.ref(obj), fp)
+    except TypeError:  # not weakrefable: skip the memo
+        pass
 
 
 def matrix_fingerprint(S) -> str:
@@ -45,26 +66,33 @@ def matrix_fingerprint(S) -> str:
     ``(shape, nnz, blake2b(row bytes, col bytes))`` — value arrays are
     deliberately excluded: cost models depend only on sparsity structure.
     """
-    key = id(S)
-    entry = _MATRIX_MEMO.get(key)
-    if entry is not None:
-        ref, fp = entry
-        if ref() is S:
-            return fp
-    fp = (
-        f"m{S.shape[0]}x{S.shape[1]}-nnz{S.nnz}-"
-        f"{_hash_arrays(S.row, S.col)}"
-    )
-    if len(_MATRIX_MEMO) >= _MATRIX_MEMO_MAX:
-        dead = [k for k, (r, _) in _MATRIX_MEMO.items() if r() is None]
-        for k in dead:
-            del _MATRIX_MEMO[k]
-        if len(_MATRIX_MEMO) >= _MATRIX_MEMO_MAX:
-            _MATRIX_MEMO.clear()
-    try:
-        _MATRIX_MEMO[key] = (weakref.ref(S), fp)
-    except TypeError:  # non-weakrefable matrix stand-in: skip the memo
-        pass
+    fp = _memo_get(_MATRIX_MEMO, S)
+    if fp is None:
+        fp = (
+            f"m{S.shape[0]}x{S.shape[1]}-nnz{S.nnz}-"
+            f"{_hash_arrays(S.row, S.col)}"
+        )
+        _memo_put(_MATRIX_MEMO, _MATRIX_MEMO_MAX, S, fp)
+    return fp
+
+
+#: id(array) -> (weakref, digest); same shape as _MATRIX_MEMO.
+_ARRAY_MEMO: dict[int, tuple[weakref.ref, str]] = {}
+_ARRAY_MEMO_MAX = 512
+
+
+def array_fingerprint(a: np.ndarray) -> str:
+    """Full-content digest of one array: blake2b over dtype, shape, bytes.
+
+    Memoized per live array object, under the same assumption as
+    :func:`matrix_fingerprint`: arrays handed to the cost models are not
+    mutated in place (the L2 model's access streams are a matrix's
+    ``row``/``col`` or a temporary built per estimate).
+    """
+    fp = _memo_get(_ARRAY_MEMO, a)
+    if fp is None:
+        fp = _hash_arrays(a)
+        _memo_put(_ARRAY_MEMO, _ARRAY_MEMO_MAX, a, fp)
     return fp
 
 
@@ -195,23 +223,10 @@ def kernel_config_fingerprint(kernel) -> str:
     instance attributes, so the sorted ``__dict__`` captures everything
     that can change an estimate besides the registered name.
     """
-    key = id(kernel)
-    entry = _KERNEL_FP_MEMO.get(key)
-    if entry is not None:
-        ref, fp = entry
-        if ref() is kernel:
-            return fp
-    attrs = getattr(kernel, "__dict__", {})
-    body = ",".join(f"{k}={v!r}" for k, v in sorted(attrs.items()))
-    fp = f"{kernel.name}({body})"
-    if len(_KERNEL_FP_MEMO) >= _KERNEL_FP_MEMO_MAX:
-        dead = [k for k, (r, _) in _KERNEL_FP_MEMO.items() if r() is None]
-        for k in dead:
-            del _KERNEL_FP_MEMO[k]
-        if len(_KERNEL_FP_MEMO) >= _KERNEL_FP_MEMO_MAX:
-            _KERNEL_FP_MEMO.clear()
-    try:
-        _KERNEL_FP_MEMO[key] = (weakref.ref(kernel), fp)
-    except TypeError:
-        pass
+    fp = _memo_get(_KERNEL_FP_MEMO, kernel)
+    if fp is None:
+        attrs = getattr(kernel, "__dict__", {})
+        body = ",".join(f"{k}={v!r}" for k, v in sorted(attrs.items()))
+        fp = f"{kernel.name}({body})"
+        _memo_put(_KERNEL_FP_MEMO, _KERNEL_FP_MEMO_MAX, kernel, fp)
     return fp

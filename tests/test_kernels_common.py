@@ -1,12 +1,15 @@
 """Cost-model helpers: warp slicing, row segments, hit-rate splitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import TESLA_V100
+from repro.gpusim import TESLA_V100, FootprintCacheModel, sampled_footprint
 from repro.kernels.common import (
+    L2_EFFECTIVE_FRACTION,
     dense_row_alignment,
     estimate_hit_rate,
     output_write_sectors,
@@ -15,6 +18,8 @@ from repro.kernels.common import (
     split_by_hit_rate,
     warp_slice_starts,
 )
+from repro.obs import METRICS
+from repro.sortops import previous_positions, sorted_unique
 
 
 def test_warp_slice_starts():
@@ -100,6 +105,113 @@ def test_estimate_hit_rate_memoized():
     a = estimate_hit_rate(stream, 256.0, TESLA_V100)
     b = estimate_hit_rate(stream, 256.0, TESLA_V100)  # cached path
     assert a == b
+
+
+def test_estimate_hit_rate_tells_apart_streams_with_equal_samples():
+    # Two streams that agree at every 4096th access and over the first
+    # 4096: a key built from those samples served the cyclic stream's
+    # answer (0.0) to the mostly-hot one.
+    n = 64 * 4096
+    cyclic = np.arange(n) % 20000
+    hot = cyclic.copy()
+    for j in range(1, 64):
+        lo, hi = j * 4096 + 1, (j + 1) * 4096
+        hot[lo:hi] = np.arange(lo, hi) % 7
+    assert estimate_hit_rate(cyclic, 256.0, TESLA_V100) == 0.0
+    expected = FootprintCacheModel(
+        capacity_bytes=int(TESLA_V100.l2_cache_bytes * L2_EFFECTIVE_FRACTION),
+        bytes_per_item=256.0,
+    ).hit_rate(hot)
+    assert expected > 0.95
+    assert estimate_hit_rate(hot, 256.0, TESLA_V100) == expected
+
+
+def _reference_hits(stream, capacity_items, seed, samples_per_size=48):
+    """The footprint model before reuse profiles: one sort per query."""
+    n = stream.size
+    prev = previous_positions(stream)
+    t = np.where(prev >= 0, np.arange(n, dtype=np.int64) - prev, -1)
+    if capacity_items >= int(np.count_nonzero(prev < 0)):
+        return int(np.count_nonzero(t >= 0))
+    sizes = sorted_unique(np.geomspace(1, n, num=24).astype(np.int64))
+    fp = sampled_footprint(
+        stream, sizes, samples_per_size=samples_per_size, seed=seed, prev=prev
+    )
+    fits = fp <= capacity_items
+    threshold = int(sizes[np.nonzero(fits)[0][-1]]) if fits.any() else 0
+    return int(np.count_nonzero((t >= 0) & (t <= threshold)))
+
+
+def _pooled(values):
+    """Streams drawn with replacement from a small pool: heavy duplicates."""
+    return st.lists(values, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)
+    )
+
+
+_STREAMS = st.one_of(
+    st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=200).map(
+        lambda v: np.array(v, dtype=np.int32)
+    ),
+    st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=200).map(
+        lambda v: np.array(v, dtype=np.int64)
+    ),
+    _pooled(st.integers(-(2**31), 2**31 - 1)).map(
+        lambda v: np.array(v, dtype=np.int32)
+    ),
+    _pooled(st.integers(-(2**40), 2**40)).map(
+        lambda v: np.array(v, dtype=np.int64)
+    ),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=300).map(np.array),
+)
+
+
+@given(stream=_STREAMS, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_memoized_hit_rate_matches_fresh_model(stream, data):
+    """Every profile-served answer equals a from-scratch evaluation."""
+    distinct = len(set(stream.tolist()))
+    capacities = {max(1, distinct - 1), distinct, distinct + 1}
+    capacities.update(data.draw(st.lists(st.integers(1, 2 * distinct + 2), max_size=4)))
+    queries = [
+        (cap, bpi, seed)
+        for cap in sorted(capacities)
+        for bpi in (1.0, 2.0)
+        for seed in range(5)
+    ]
+    for cap, bpi, seed in data.draw(st.permutations(queries)):
+        l2_bytes = round(cap / L2_EFFECTIVE_FRACTION)
+        device = dataclasses.replace(TESLA_V100, l2_cache_bytes=l2_bytes)
+        items = int(l2_bytes * L2_EFFECTIVE_FRACTION) / bpi
+        expected = _reference_hits(stream, items, seed) / stream.size
+        assert estimate_hit_rate(stream, bpi, device, seed=seed) == expected
+
+
+def test_profile_counters_build_once_per_stream_and_seed(monkeypatch):
+    monkeypatch.setattr("repro.kernels.common._PROFILES", {})
+    rng = np.random.default_rng(5)
+    stream = rng.integers(0, 50_000, size=20_000)
+    before = METRICS.counters()
+
+    def delta(name):
+        return METRICS.get(name) - before.get(name, 0)
+
+    for device_l2 in (1 << 20, 1 << 22, 1 << 24):
+        device = dataclasses.replace(TESLA_V100, l2_cache_bytes=device_l2)
+        for k in (16, 64, 256):
+            for seed in (0, 1):
+                estimate_hit_rate(stream, k * 4.0, device, seed=seed)
+    assert delta("gpusim.reuse_profile.builds") == 1
+    assert delta("gpusim.reuse_profile.detail_builds") == 2
+    assert delta("gpusim.reuse_profile.hits") == 17
+
+
+def test_fitting_stream_never_sorts(monkeypatch):
+    monkeypatch.setattr("repro.kernels.common._PROFILES", {})
+    before = METRICS.get("gpusim.reuse_profile.detail_builds")
+    stream = np.arange(1000) % 10
+    assert estimate_hit_rate(stream, 256.0, TESLA_V100) == 0.99
+    assert METRICS.get("gpusim.reuse_profile.detail_builds") == before
 
 
 def test_alignment_and_write_sectors():
