@@ -201,23 +201,41 @@ def _check_races(plan: KernelPlan) -> list[Diagnostic]:
     lengths = plan.ends - plan.starts
     if lengths.size == 0:
         return []
-    slice_id = np.repeat(
-        np.arange(lengths.size, dtype=np.int64), np.maximum(lengths, 0)
-    )
-    # Distinct (row, slice) pairs, sorted by row then slice; a row
-    # appearing in >= 2 pairs is written by multiple warps.
-    pairs = sorted_unique(
-        row.astype(np.int64) * np.int64(lengths.size) + slice_id
-    )
-    pair_rows, pair_slices = np.divmod(pairs, lengths.size)
-    shared, counts = sorted_unique(pair_rows, return_counts=True)
-    shared = shared[counts >= 2]
+    if np.any(row[1:] < row[:-1]):
+        slice_id = np.repeat(
+            np.arange(lengths.size, dtype=np.int64), np.maximum(lengths, 0)
+        )
+        # Distinct (row, slice) pairs, sorted by row then slice; a row
+        # appearing in >= 2 pairs is written by multiple warps.
+        pairs = sorted_unique(
+            row.astype(np.int64) * np.int64(lengths.size) + slice_id
+        )
+        pair_rows, pair_slices = np.divmod(pairs, lengths.size)
+        shared, counts = sorted_unique(pair_rows, return_counts=True)
+        shared = shared[counts >= 2]
+
+        def slices_of(r):
+            lo, hi = np.searchsorted(pair_rows, [r, r + 1])
+            return pair_slices[lo:hi]
+    else:
+        # Rows in order over slices tiling [0, nnz) in order: a row is
+        # shared exactly when a boundary b between two non-empty slices
+        # has row[b - 1] == row[b].  O(slices), no sort.
+        nonempty = np.flatnonzero(lengths > 0)
+        first = plan.starts[nonempty]
+        b = first[1:]
+        shared = row[b][row[b - 1] == row[b]]
+        shared = shared[np.diff(shared, prepend=shared[:1] - 1) != 0]
+
+        def slices_of(r):
+            lo, hi = np.searchsorted(row, [r, r + 1])
+            w = np.searchsorted(first, lo, side="right") - 1
+            return nonempty[w:np.searchsorted(first, hi)]
     if shared.size == 0:
         return []
     diags = []
     for r in shared[:_MAX_NAMED]:
-        lo, hi = np.searchsorted(pair_rows, [r, r + 1])
-        slices = pair_slices[lo:hi]
+        slices = slices_of(r)
         names = ", ".join(str(s) for s in slices[:_MAX_NAMED])
         claim = (
             "claimed row-private slices"
@@ -370,8 +388,9 @@ def check_plan(plan: KernelPlan) -> list[Diagnostic]:
     """Run every plan rule; returns all diagnostics (errors first)."""
     diags, exact = _check_coverage(plan)
     if exact:
-        # Race detection assigns nnz -> slice by repeat(lengths), which
-        # is only meaningful once the partition is exact.
+        # Race detection maps nnz -> slice through the slice lengths (or,
+        # for rows in order, the slice boundaries), which is only
+        # meaningful once the partition is exact.
         diags.extend(_check_races(plan))
     diags.extend(_check_occupancy(plan))
     diags.extend(_check_hvma(plan))
@@ -446,8 +465,7 @@ def row_block_plan(
     private to their slice by construction — which :func:`check_plan`
     verifies rather than trusts.
     """
-    indptr = S.indptr().astype(np.int64)
-    bounds = indptr[::rows_per_slice]
+    bounds = S.indptr()[::rows_per_slice]
     if bounds.size == 0 or bounds[-1] != S.nnz:
         bounds = np.append(bounds, S.nnz)
     return KernelPlan(
@@ -536,8 +554,8 @@ def _huang_plan(kernel, op: str, S, k, device) -> KernelPlan:
     )
     # Tiles walk each row in order: reconstruct per-row tile boundaries
     # over the sorted nnz stream.
-    degrees = S.row_degrees().astype(np.int64)
-    indptr = S.indptr().astype(np.int64)
+    degrees = S.row_degrees()
+    indptr = S.indptr()
     tile = int(kernel.tile)
     tiles_per_row = -(-degrees // tile)
     row_of_tile = np.repeat(

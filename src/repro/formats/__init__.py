@@ -14,7 +14,7 @@ from .blocked_ell import BlockedEllMatrix, BlockedEllStats, blocked_ell_stats
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .dcsr import DCSRMatrix
-from .hybrid import HybridMatrix
+from .hybrid import HybridMatrix, RowStructure
 
 __all__ = [
     "INDEX_DTYPE",
@@ -27,4 +27,5 @@ __all__ = [
     "CSRMatrix",
     "DCSRMatrix",
     "HybridMatrix",
+    "RowStructure",
 ]

@@ -42,9 +42,17 @@ def _zipf_weights(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
 def _sample_categorical(
     p_cum: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample ``size`` indices from a categorical given cumulative probs."""
+    """Sample ``size`` indices from a categorical given cumulative probs.
+
+    The draws are looked up in sorted order and scattered back: the
+    indices are the same, and ``searchsorted`` walks ``p_cum`` with
+    ascending keys far faster than with random ones.
+    """
     u = rng.random(size)
-    return np.searchsorted(p_cum, u, side="right")
+    order = np.argsort(u)
+    out = np.empty(size, dtype=np.intp)
+    out[order] = np.searchsorted(p_cum, u[order], side="right")
+    return out
 
 
 def _dedupe(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

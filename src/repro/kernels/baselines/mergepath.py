@@ -61,7 +61,7 @@ class MergePathSpMM(SpMMKernel):
         npw = self.items_per_warp
         starts = warp_slice_starts(nnz, npw)
         slice_nnz = per_warp_nnz(nnz, npw).astype(np.float64)
-        segments = row_segments_per_slice(S.row, starts, npw).astype(np.float64)
+        segments = row_segments_per_slice(S, starts, npw).astype(np.float64)
 
         feats = float(k)
         sector = device.l2_sector_bytes

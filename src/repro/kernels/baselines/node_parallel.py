@@ -59,7 +59,7 @@ def build_node_parallel_workload(
     hit_rate: float | None = None,
 ) -> tuple[WarpWorkload, LaunchConfig]:
     """Per-warp workload for a warp-per-row kernel over matrix ``S``."""
-    degrees = S.row_degrees().astype(np.float64)
+    degrees = S.row_degrees()
     m = degrees.size
     if m == 0:
         work = WarpWorkload.zeros(0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..formats import HybridMatrix
+from ..formats import HybridMatrix, RowStructure
 from ..gpusim import DeviceSpec, FootprintCacheModel, ReuseProfile
 from ..obs import METRICS
 from ..perf.fingerprint import array_fingerprint
@@ -32,45 +32,32 @@ def per_warp_nnz(nnz: int, nnz_per_warp: int) -> np.ndarray:
     return ends - starts
 
 
-def row_segments_per_slice(row: np.ndarray, starts: np.ndarray, nnz_per_warp: int) -> np.ndarray:
+def row_segments_per_slice(row, starts: np.ndarray, nnz_per_warp: int) -> np.ndarray:
     """Distinct row segments each warp's slice touches (row-switch count + 1).
 
-    For the hybrid format ``row`` is non-decreasing, so the number of
-    distinct rows inside a slice is ``1 + (# boundaries with a row change
-    strictly inside the slice)``.  Each segment triggers one row-switch
-    store in HP-SpMM / one A1 reload in HP-SDDMM.
+    ``row`` is a :class:`HybridMatrix` (its cached row structure is
+    read) or a bare row-index array.  Rows are non-decreasing, so a slice
+    touches ``1 + (# row changes strictly inside it)`` rows.  Each segment
+    triggers one row-switch store in HP-SpMM / one A1 reload in HP-SDDMM.
 
     Raises ``ValueError`` when ``row`` violates the hybrid-format
     invariant (unsorted) or is empty while slices claim nonzeros — both
     would otherwise yield garbage segment counts that silently corrupt
     every downstream cost estimate.
     """
-    nnz = row.size
     if starts.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if nnz == 0:
+    rows = (row.row_structure() if isinstance(row, HybridMatrix)
+            else RowStructure.build(row))
+    if rows.nnz == 0:
         raise ValueError(
             f"row array is empty but {starts.size} warp slices were "
             "requested; slice an empty stream with zero slices"
         )
-    if np.any(row[1:] < row[:-1]):
-        bad = int(np.argmax(row[1:] < row[:-1]))
-        raise ValueError(
-            "row indices must be non-decreasing (hybrid CSR/COO "
-            f"invariant); row[{bad}]={int(row[bad])} > "
-            f"row[{bad + 1}]={int(row[bad + 1])}"
-        )
-    change = np.empty(nnz, dtype=np.int64)
-    change[0] = 0
-    change[1:] = (row[1:] != row[:-1]).astype(np.int64)
-    csum = np.concatenate(([0], np.cumsum(change)))
-    ends = np.minimum(starts + nnz_per_warp, nnz)
-    # Changes strictly inside (start, end): csum[end] - csum[start+1] counts
-    # boundaries at positions start+1 .. end-1 ... boundary at position i
-    # means row[i] != row[i-1]; internal boundaries are i in [start+1, end-1].
-    internal = csum[ends] - csum[np.minimum(starts + 1, nnz)]
-    lengths = ends - starts
-    return np.where(lengths > 0, internal + 1, 0)
+    ends = np.minimum(starts + nnz_per_warp, rows.nnz)
+    changes = rows.changes  # each one strictly inside a slice adds a segment
+    internal = np.searchsorted(changes, ends) - np.searchsorted(changes, starts, "right")
+    return np.where(ends > starts, internal + 1, 0)
 
 
 #: Fraction of L2 effectively available to operand-row reuse; the rest is
@@ -126,11 +113,6 @@ def split_by_hit_rate(
     l2 = sectors * hit_rate
     dram = sectors * (1.0 - hit_rate)
     return l2, dram
-
-
-def rows_to_warp_degrees(S: HybridMatrix) -> np.ndarray:
-    """Per-warp nnz for node-parallel kernels (one warp per matrix row)."""
-    return S.row_degrees().astype(np.float64)
 
 
 def dense_row_alignment(k: int, sector_bytes: int = 32) -> bool:

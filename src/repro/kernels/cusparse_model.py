@@ -62,7 +62,7 @@ def _balanced_csr_workload(
     nnz = S.nnz
     starts = warp_slice_starts(nnz, nnz_per_warp)
     slice_nnz = per_warp_nnz(nnz, nnz_per_warp).astype(np.float64)
-    segments = row_segments_per_slice(S.row, starts, nnz_per_warp).astype(
+    segments = row_segments_per_slice(S, starts, nnz_per_warp).astype(
         np.float64
     )
     sector = device.l2_sector_bytes

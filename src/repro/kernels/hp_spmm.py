@@ -65,7 +65,7 @@ def _hp_spmm_workload(
     groups = part.num_feature_groups
     starts = warp_slice_starts(nnz, npw)
     slice_nnz = per_warp_nnz(nnz, npw).astype(np.float64)
-    segments = row_segments_per_slice(S.row, starts, npw).astype(np.float64)
+    segments = row_segments_per_slice(S, starts, npw).astype(np.float64)
     tiles = np.ceil(slice_nnz / 32.0)
 
     # Feature coverage of one warp: 32*vw features; the last group of a

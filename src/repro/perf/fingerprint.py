@@ -63,14 +63,17 @@ def _memo_put(memo: dict, limit: int, obj, fp: str) -> None:
 def matrix_fingerprint(S) -> str:
     """Structure fingerprint of a :class:`~repro.formats.HybridMatrix`.
 
-    ``(shape, nnz, blake2b(row bytes, col bytes))`` — value arrays are
+    ``(shape, nnz, blake2b(row digest, col digest))`` — value arrays are
     deliberately excluded: cost models depend only on sparsity structure.
+    The index digests are :func:`array_fingerprint`'s, so the L2 model's
+    key for ``S.col`` is a memo hit rather than a second hash of its bytes.
     """
     fp = _memo_get(_MATRIX_MEMO, S)
     if fp is None:
+        digests = array_fingerprint(S.row) + array_fingerprint(S.col)
         fp = (
             f"m{S.shape[0]}x{S.shape[1]}-nnz{S.nnz}-"
-            f"{_hash_arrays(S.row, S.col)}"
+            f"{hashlib.blake2b(digests.encode(), digest_size=16).hexdigest()}"
         )
         _memo_put(_MATRIX_MEMO, _MATRIX_MEMO_MAX, S, fp)
     return fp

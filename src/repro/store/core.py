@@ -137,6 +137,11 @@ def _layout(S: HybridMatrix) -> tuple[tuple, int]:
     return tuple(entries), offset
 
 
+def _shm_prefix() -> str:
+    """Name prefix of the shm segments this process publishes."""
+    return f"rstore_{os.getpid()}_"
+
+
 def _unregister_shm(shm) -> None:
     """Drop a segment from the resource tracker.
 
@@ -145,7 +150,10 @@ def _unregister_shm(shm) -> None:
     could unlink a segment the publisher still serves.
     Only the publisher keeps its registration — its ``unlink()`` (the
     shutdown/atexit path) clears it, and it is the crash-recovery net
-    until then.
+    until then.  The tracker keeps a set of names, so the publisher
+    itself must not call this when it attaches its own segment: the
+    attach's registration is the publisher's, and unregistering it
+    would leave the later ``unlink()`` to fail in the tracker.
     """
     try:
         from multiprocessing import resource_tracker
@@ -318,7 +326,7 @@ class SharedGraphStore:
         if self.backend == BACKEND_SHM:
             from multiprocessing import shared_memory
 
-            name = f"rstore_{os.getpid()}_{seq}"
+            name = f"{_shm_prefix()}{seq}"
             try:
                 shm = shared_memory.SharedMemory(
                     create=True, size=total, name=name
@@ -395,7 +403,8 @@ class SharedGraphStore:
                     f"cannot attach shm segment {handle.name!r}: {exc}"
                 ) from exc
             buf = shm.buf
-            _unregister_shm(shm)
+            if not handle.name.startswith(_shm_prefix()):
+                _unregister_shm(shm)
             _neuter_shm(shm)
             return shm, buf
         try:

@@ -9,6 +9,8 @@ control required by ISSUE acceptance criteria.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     ADVERSARIAL_PLANS,
@@ -28,9 +30,12 @@ from repro.analysis.fixtures import (
     overlap_plan,
     race_plan,
 )
+from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.schedule import _check_races
 from repro.gpusim import LaunchConfig, TESLA_A30, TESLA_V100
 from repro.kernels import make_spmm
 from repro.kernels.api import SDDMM_REGISTRY, SPMM_REGISTRY
+from repro.sortops import sorted_unique
 
 pytestmark = pytest.mark.analysis
 
@@ -276,3 +281,71 @@ def test_plans_device_sensitive():
     w_v100 = [d for d in check_plan(v100) if d.rule == "plan/wave-report"]
     w_a30 = [d for d in check_plan(a30) if d.rule == "plan/wave-report"]
     assert w_v100[0].message != w_a30[0].message
+
+
+# -- the in-order race check against the sort-based one ------------------
+
+def _races_by_sort(plan):
+    """``_check_races`` before the in-order path: sorts (row, slice) pairs
+    for every plan, sorted rows included."""
+    if plan.row is None or plan.merge == MERGE_ATOMIC or plan.nnz == 0:
+        return []
+    row = np.asarray(plan.row)
+    lengths = plan.ends - plan.starts
+    if lengths.size == 0:
+        return []
+    slice_id = np.repeat(
+        np.arange(lengths.size, dtype=np.int64), np.maximum(lengths, 0)
+    )
+    pairs = sorted_unique(
+        row.astype(np.int64) * np.int64(lengths.size) + slice_id
+    )
+    pair_rows, pair_slices = np.divmod(pairs, lengths.size)
+    shared, counts = sorted_unique(pair_rows, return_counts=True)
+    shared = shared[counts >= 2]
+    diags = []
+    for r in shared[:4]:
+        lo, hi = np.searchsorted(pair_rows, [r, r + 1])
+        slices = pair_slices[lo:hi]
+        names = ", ".join(str(s) for s in slices[:4])
+        claim = (
+            "claimed row-private slices"
+            if plan.merge == MERGE_PRIVATE
+            else "plain (non-atomic) stores"
+        )
+        diags.append(
+            Diagnostic(
+                "plan/row-race",
+                ERROR,
+                plan.kernel,
+                f"output row {int(r)} is written by slices {names}"
+                f"{' ...' if slices.size > 4 else ''} with {claim}"
+                + (f" ({shared.size} racy rows total)" if shared.size > 1 else ""),
+                location=f"row {int(r)}",
+                hint="serialize cross-warp row writes with the row-switch "
+                "atomic merge, or split slices on row boundaries",
+            )
+        )
+    return diags
+
+
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=40),
+    st.sampled_from([MERGE_PRIVATE, MERGE_NONE]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_race_check_matches_sort_based_version(lengths, merge, ordered, data):
+    # Random exact partitions (empty slices included) over sorted or
+    # arbitrary row streams: every diagnostic, message for message.
+    lengths = np.array(lengths, dtype=np.int64)
+    nnz = int(lengths.sum())
+    assume(nnz > 0)
+    ends = np.cumsum(lengths)
+    rows = data.draw(
+        st.lists(st.integers(0, 12), min_size=nnz, max_size=nnz), label="row"
+    )
+    row = np.array(sorted(rows) if ordered else rows, dtype=np.int32)
+    plan = _plan(ends - lengths, ends, nnz=nnz, row=row, merge=merge)
+    assert _check_races(plan) == _races_by_sort(plan)

@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.formats import HybridMatrix
 from repro.gpusim import TESLA_V100, FootprintCacheModel, sampled_footprint
 from repro.kernels.common import (
     L2_EFFECTIVE_FRACTION,
@@ -212,6 +213,39 @@ def test_fitting_stream_never_sorts(monkeypatch):
     stream = np.arange(1000) % 10
     assert estimate_hit_rate(stream, 256.0, TESLA_V100) == 0.99
     assert METRICS.get("gpusim.reuse_profile.detail_builds") == before
+
+
+def _segments_per_call(row, starts, nnz_per_warp):
+    """``row_segments_per_slice`` before the row structure: an O(nnz)
+    row-change prefix sum built on every call."""
+    nnz = row.size
+    change = np.empty(nnz, dtype=np.int64)
+    change[0] = 0
+    change[1:] = (row[1:] != row[:-1]).astype(np.int64)
+    csum = np.concatenate(([0], np.cumsum(change)))
+    ends = np.minimum(starts + nnz_per_warp, nnz)
+    internal = csum[ends] - csum[np.minimum(starts + 1, nnz)]
+    lengths = ends - starts
+    return np.where(lengths > 0, internal + 1, 0)
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=80), st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_segments_match_per_call_version(degrees, data):
+    # Empty rows anywhere; NnzPerWarp from 1 to beyond nnz; both the
+    # matrix (cached structure) and the bare row array.
+    deg = np.array(degrees, dtype=np.int64)
+    assume(deg.sum() > 0)
+    row = np.repeat(np.arange(deg.size, dtype=np.int32), deg)
+    nnz = row.size
+    S = HybridMatrix.from_arrays(
+        row, np.zeros(nnz, dtype=np.int32), shape=(deg.size, 1)
+    )
+    npw = data.draw(st.integers(1, nnz + 3), label="nnz_per_warp")
+    starts = warp_slice_starts(nnz, npw)
+    expected = _segments_per_call(row, starts, npw)
+    np.testing.assert_array_equal(row_segments_per_slice(S, starts, npw), expected)
+    np.testing.assert_array_equal(row_segments_per_slice(row, starts, npw), expected)
 
 
 def test_alignment_and_write_sectors():

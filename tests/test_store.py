@@ -10,6 +10,9 @@ path with identical results, and the probe-once dispatch fix.
 import dataclasses
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -211,6 +214,47 @@ def test_fingerprint_mismatch_is_rejected():
     forged = dataclasses.replace(handle, fingerprint="m1x1-nnz1-deadbeef")
     with pytest.raises(StoreAttachError, match="recycled or corrupted"):
         SharedGraphStore(backend=handle.backend).attach(forged)
+
+
+_OWN_ATTACH_SCRIPT = textwrap.dedent(
+    """
+    import dataclasses
+    import numpy as np
+    from repro.formats import HybridMatrix
+    from repro.store import SharedGraphStore, StoreAttachError, get_store
+
+    S = HybridMatrix.from_arrays(np.arange(50) // 5, np.arange(50) % 7)
+    handle = get_store().publish(S)
+    print(handle.backend)
+    SharedGraphStore(backend=handle.backend).attach(handle)
+    forged = dataclasses.replace(handle, fingerprint="m1x1-nnz1-deadbeef")
+    try:
+        SharedGraphStore(backend=handle.backend).attach(forged)
+    except StoreAttachError:
+        pass
+    """
+)
+
+
+def test_attaching_own_segment_keeps_tracker_registration():
+    # The publisher attaching its own shm segment must not drop its
+    # resource-tracker registration: the tracker keeps a set of names,
+    # so the exit-time unlink would then fail there with a KeyError on
+    # stderr, and the segment would have lost its crash-recovery net.
+    env = dict(os.environ)
+    env.pop("REPRO_STORE_BACKEND", None)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _OWN_ATTACH_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() != "shm":
+        pytest.skip("no shared memory here; the mmap backend has no tracker")
+    assert proc.stderr == ""
 
 
 def test_truncated_backing_file_is_rejected_cleanly(tmp_path, monkeypatch):
